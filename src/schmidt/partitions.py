@@ -11,6 +11,7 @@ exhaustively here, together with the bounded refinements of each count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Parts = tuple[int, ...]
@@ -62,6 +63,9 @@ def _schmidt_suffixes(remaining: int, bound: int) -> Iterator[Parts]:
     # odd-position parts sum to ``remaining``.  Tuples are built from a
     # leading block (odd-position part, optional even-position part), so
     # each one is produced exactly once and termination is structural.
+    # They come out in descending lexicographic order: each block is tried
+    # from largest to smallest, and the lone ``(head,)``, a prefix of every
+    # ``(head, even)`` and so smaller, is yielded after them.
     if remaining == 0:
         yield ()
         return
@@ -86,7 +90,7 @@ def enumerate_schmidt(n: int) -> list[Parts]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sorted(_schmidt_suffixes(n, n), reverse=True)
+    return list(_schmidt_suffixes(n, n))
 
 
 def count_schmidt(n: int) -> int:
@@ -134,16 +138,23 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """All two-color partitions of weight ``n`` in canonical order.
 
     Canonical order sorts by the merged part list, largest part first with
-    red preceding green on equal sizes.
+    red preceding green on equal sizes.  The table of each weight is built
+    once and memoized (a bounded number of weights stay cached); every call
+    returns a fresh list of the shared immutable partitions.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return list(_two_color_table(n))
+
+
+@lru_cache(maxsize=16)
+def _two_color_table(n: int) -> tuple[TwoColorPartition, ...]:
     out = []
     for red_weight in range(n, -1, -1):
         for red in partitions_of(red_weight):
             for green in partitions_of(n - red_weight):
                 out.append(TwoColorPartition(red, green))
-    return sorted(out, key=TwoColorPartition.sort_key)
+    return tuple(sorted(out, key=TwoColorPartition.sort_key))
 
 
 def count_two_color(n: int) -> int:
@@ -174,19 +185,20 @@ class RefinedQuery:
 
 def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
     """Two-color partitions of weight ``n`` matching all four bounds."""
+    r, l, p, q = query.r, query.l, query.p, query.q
+    # r, l >= 1, so a matching length guarantees the first part exists.
     return [
         tc
         for tc in enumerate_two_color(query.n)
-        if tc.num_red == query.r
-        and tc.num_green == query.l
-        and tc.max_red <= query.p
-        and tc.max_green <= query.q
+        if len(tc.red) == r and len(tc.green) == l and tc.red[0] <= p and tc.green[0] <= q
     ]
 
 
 def _bounded_vectors(length: int, cap: int, target: int) -> Iterator[tuple[int, ...]]:
     # Weakly decreasing vectors of the given length, entries in [0, cap],
     # whose odd-position (0-based even index) entries sum to ``target``.
+    # Every entry is tried from largest to smallest and all vectors have
+    # the same length, so they come out in descending lexicographic order.
     def extend(prefix: list[int], bound: int, odd_left: int) -> Iterator[tuple[int, ...]]:
         i = len(prefix)
         if i == length:
@@ -211,9 +223,15 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     """Fixed-length weakly decreasing vectors with bounded entries.
 
     Vectors have length exactly 2*max(r, l), entries in [0, p+q], and
-    odd-position sum ``n``.  Trailing zeros are significant, so vectors
-    that would trim to the same partition are distinct members.
+    odd-position sum ``n``, in descending lexicographic order.  Trailing
+    zeros are significant, so vectors that would trim to the same
+    partition are distinct members.  The set depends only on (length,
+    p+q, n) and is memoized per such key (a bounded number stay cached);
+    every call returns a fresh list.
     """
-    length = 2 * max(query.r, query.l)
-    cap = query.p + query.q
-    return sorted(_bounded_vectors(length, cap, query.n), reverse=True)
+    return list(_literal_table(2 * max(query.r, query.l), query.p + query.q, query.n))
+
+
+@lru_cache(maxsize=256)
+def _literal_table(length: int, cap: int, target: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_bounded_vectors(length, cap, target))

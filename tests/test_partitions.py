@@ -142,6 +142,35 @@ def test_enumerate_two_color_weights_and_order():
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_enumerate_two_color_matches_uncached_reference(n):
+    reference = sorted(
+        (
+            TwoColorPartition(red, green)
+            for k in range(n + 1)
+            for red in partitions_of(k)
+            for green in partitions_of(n - k)
+        ),
+        key=TwoColorPartition.sort_key,
+    )
+    assert enumerate_two_color(n) == reference
+    assert enumerate_two_color(n) == reference  # served from the memo
+
+
+def test_memoized_results_are_fresh_lists():
+    first = enumerate_two_color(4)
+    expected = list(first)
+    first.clear()
+    assert enumerate_two_color(4) == expected
+
+    query = RefinedQuery(3, 2, 1, 2, 1)
+    vectors = enumerate_schmidt_refined_literal(query)
+    expected_vectors = list(vectors)
+    vectors.reverse()
+    vectors.append((9, 9, 9, 9))
+    assert enumerate_schmidt_refined_literal(query) == expected_vectors
+
+
 def test_two_color_accessors():
     tc = TwoColorPartition((2, 1), (3,))
     assert (tc.weight, tc.num_red, tc.num_green) == (6, 2, 1)
@@ -173,6 +202,16 @@ def test_refined_query_validation():
 def test_enumerate_two_color_refined(query, expected):
     got = {format_two_color(tc) for tc in enumerate_two_color_refined(query)}
     assert got == expected
+
+
+def test_enumerate_two_color_refined_matches_plain_filter():
+    for n, r, l, p, q in itertools.product(range(8), *[range(1, 4)] * 4):
+        expected = [
+            tc
+            for tc in enumerate_two_color(n)
+            if tc.num_red == r and tc.num_green == l and tc.max_red <= p and tc.max_green <= q
+        ]
+        assert enumerate_two_color_refined(RefinedQuery(n, r, l, p, q)) == expected
 
 
 @pytest.mark.parametrize(
