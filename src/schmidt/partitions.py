@@ -138,16 +138,18 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """All two-color partitions of weight ``n`` in canonical order.
 
     Canonical order sorts by the merged part list, largest part first with
-    red preceding green on equal sizes.  The table of each weight is built
-    once and memoized (a bounded number of weights stay cached); every call
-    returns a fresh list of the shared immutable partitions.
+    red preceding green on equal sizes.  The table of the most recently
+    asked weight is kept, so repeated calls for one weight build it once;
+    every call returns a fresh list of the shared immutable partitions.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return list(_two_color_table(n))
 
 
-@lru_cache(maxsize=16)
+# One table: the refined grid asks for one weight many times in a row, and
+# every other caller asks for each weight once, so older tables are dead.
+@lru_cache(maxsize=1)
 def _two_color_table(n: int) -> tuple[TwoColorPartition, ...]:
     out = []
     for red_weight in range(n, -1, -1):
@@ -185,12 +187,13 @@ class RefinedQuery:
 
 def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
     """Two-color partitions of weight ``n`` matching all four bounds."""
-    r, l, p, q = query.r, query.l, query.p, query.q
-    # r, l >= 1, so a matching length guarantees the first part exists.
     return [
         tc
         for tc in enumerate_two_color(query.n)
-        if len(tc.red) == r and len(tc.green) == l and tc.red[0] <= p and tc.green[0] <= q
+        if tc.num_red == query.r
+        and tc.num_green == query.l
+        and tc.max_red <= query.p
+        and tc.max_green <= query.q
     ]
 
 
@@ -226,12 +229,15 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     odd-position sum ``n``, in descending lexicographic order.  Trailing
     zeros are significant, so vectors that would trim to the same
     partition are distinct members.  The set depends only on (length,
-    p+q, n) and is memoized per such key (a bounded number stay cached);
-    every call returns a fresh list.
+    p+q, n), and the sets of the most recent 32 keys are kept; every call
+    returns a fresh list.
     """
     return list(_literal_table(2 * max(query.r, query.l), query.p + query.q, query.n))
 
 
-@lru_cache(maxsize=256)
+# The refined grid walks all cells of one weight before the next; those
+# cells share max(r, l) * (max p+q - 1) keys, 15 at the default 3x3x3x3
+# bounds and 28 at 4x4x4x4, so 32 keys cover one weight of either.
+@lru_cache(maxsize=32)
 def _literal_table(length: int, cap: int, target: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_bounded_vectors(length, cap, target))
