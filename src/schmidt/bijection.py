@@ -99,18 +99,14 @@ def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
     """Invert `add_staircase` followed by the zero padding.
 
     Returns the recovered two-color partition together with the case tag
-    "r<=l" or "r>l".  Raises NotInImageError when subtracting the
-    staircase does not leave zero-padded partitions whose longer color has
-    exactly m parts.
+    "r<=l" or "r>l".  Both sequences of a `DistinctPair` strictly decrease
+    and are nonnegative, so subtracting m-1, ..., 1, 0 always leaves
+    weakly decreasing nonnegative sequences.  Raises NotInImageError when
+    neither color then has exactly m nonzero parts.
     """
     m = pair.m
     red_padded = tuple(x - (m - 1 - j) for j, x in enumerate(pair.arms))
     green_padded = tuple(x - (m - 1 - j) for j, x in enumerate(pair.legs))
-    for seq in (red_padded, green_padded):
-        if any(x < 0 for x in seq):
-            raise NotInImageError(f"staircase removal went negative: {pair!r}")
-        if any(a < b for a, b in zip(seq, seq[1:])):
-            raise NotInImageError(f"staircase removal broke monotonicity: {pair!r}")
     red = tuple(x for x in red_padded if x > 0)
     green = tuple(x for x in green_padded if x > 0)
     if max(len(red), len(green)) != m:
@@ -123,9 +119,10 @@ def wright_build(pair: DistinctPair) -> Parts:
     """Assemble a Young diagram from a diagonal with given arms and legs.
 
     Cell (j, j) is placed for j = 1..m, then arms[j] cells to its right
-    and legs[j] cells below it.  For a valid pair the result is always a
-    left-justified diagram with exactly sum(arms) + sum(legs) + m cells;
-    both facts are re-checked defensively.
+    and legs[j] cells below it.  The result is always a partition with
+    sum(arms) + sum(legs) + m cells: the rows j + arms[j] strictly
+    decrease with the arms, and each row #{j : legs[j] + j >= i} below
+    them does not grow with i and is at most m <= row m.
     """
     m = pair.m
     rows = [j + pair.arms[j - 1] for j in range(1, m + 1)]
@@ -134,12 +131,7 @@ def wright_build(pair: DistinctPair) -> Parts:
         if row == 0:
             break
         rows.append(row)
-    shape = tuple(rows)
-    if any(a < b for a, b in zip(shape, shape[1:])) or sum(shape) != sum(
-        pair.arms
-    ) + sum(pair.legs) + m:
-        raise ValueError(f"cell set is not a Young diagram: {pair!r}")
-    return shape
+    return tuple(rows)
 
 
 def durfee_square(shape: Parts) -> int:
@@ -152,11 +144,11 @@ def durfee_square(shape: Parts) -> int:
 
 def wright_split(shape: Parts) -> DistinctPair:
     """Read arms and legs off the diagonal of a nonempty diagram."""
-    shape = as_partition(shape)
-    if not shape:
+    shape = tuple(shape)
+    cols = conjugate(shape)  # validates the shape
+    if not cols:
         raise ValueError("cannot split the empty shape")
     m = durfee_square(shape)
-    cols = conjugate(shape)
     arms = tuple(shape[j] - (j + 1) for j in range(m))
     legs = tuple(cols[j] - (j + 1) for j in range(m))
     return DistinctPair(arms, legs)
@@ -170,10 +162,10 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
     leg; the output lists (cells in hook 1, 2's in hook 1, cells in hook
     2, 2's in hook 2, ...), which is strictly decreasing.
     """
-    shape = as_partition(shape)
-    if not shape:
+    shape = tuple(shape)
+    cols = conjugate(shape)  # validates the shape
+    if not cols:
         raise ValueError("cannot decompose the empty shape")
-    cols = conjugate(shape)
     out = []
     for j in range(1, durfee_square(shape) + 1):
         arm = shape[j - 1] - j
@@ -209,8 +201,12 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
 
     With ones[j] the 1-count of hook j (cells minus 2's), the legs satisfy
     legs[j] = (m-j) + sum over k >= j of (ones[k] - 1) and the arms follow
-    from cells[j] = arms[j] + legs[j] + 1.  The reconstruction is always
-    re-checked by decomposing the rebuilt shape.
+    from cells[j] = arms[j] + legs[j] + 1.  A vector that `check_hooks`
+    accepts strictly decreases, so every ones[j] >= 1.  Consecutive legs
+    then differ by ones[j] >= 1 and the last leg is ones[m] - 1 >= 0;
+    consecutive arms differ by the 2-count of hook j minus the cell count
+    of hook j+1, at least 1, and the last arm is the 2-count of hook m.
+    So the pair is always valid, and its shape decomposes back to ``hooks``.
     """
     hooks = check_hooks(hooks)
     m = len(hooks) // 2
@@ -219,26 +215,22 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
         (m - j) + sum(o - 1 for o in ones[j - 1 :]) for j in range(1, m + 1)
     )
     arms = tuple(hooks[2 * j] - 1 - legs[j] for j in range(m))
-    try:
-        shape = wright_build(DistinctPair(arms, legs))
-    except ValueError as exc:
-        raise NotInImageError(f"no shape has hook counts {hooks!r}") from exc
-    if hook_decompose(shape) != hooks:
-        raise NotInImageError(f"round trip failed for hook counts {hooks!r}")
-    return shape
+    return wright_build(DistinctPair(arms, legs))
 
 
 def hooks_to_schmidt(hooks: tuple[int, ...]) -> Parts:
-    """Subtract the staircase 2m-1, ..., 1, 0 and trim trailing zeros."""
+    """Subtract the staircase 2m-1, ..., 1, 0 and trim trailing zeros.
+
+    The hooks strictly decrease from a nonnegative last entry, so hooks[i]
+    >= 2m-1-i and the result is always a partition.
+    """
     hooks = check_hooks(hooks)
     length = len(hooks)
     out = [x - (length - 1 - i) for i, x in enumerate(hooks[:-1])]
     out.append(hooks[-1])
-    if any(x < 0 for x in out):
-        raise NotInImageError(f"staircase removal went negative: {hooks!r}")
     while out and out[-1] == 0:
         out.pop()
-    return as_partition(out)
+    return tuple(out)
 
 
 def schmidt_to_hooks(partition: Parts) -> tuple[int, ...]:
@@ -262,7 +254,7 @@ def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
 
 def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:
     """Full inverse map, defined for every ordinary partition."""
-    p = as_partition(partition)
+    p = tuple(partition)
     if not p:
         return TwoColorPartition((), ())
     shape = hook_compose(schmidt_to_hooks(p))

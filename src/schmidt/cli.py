@@ -21,7 +21,6 @@ from .bijection import (
     wright_build,
 )
 from .textform import (
-    PartitionSyntaxError,
     format_partition,
     format_two_color,
     parse_partition,
@@ -42,9 +41,6 @@ def _cmd_unmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
     text = harness.table_text(args.n)
     if text:
         print(text)
@@ -52,12 +48,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        print("error: --max-n must be positive", file=sys.stderr)
-        return 2
-    if args.roundtrip_cutoff < 0:
-        print("error: --roundtrip-cutoff must be nonnegative", file=sys.stderr)
-        return 2
     report = harness.verify_report(args.max_n, args.roundtrip_cutoff)
     renderers = {
         "text": harness.verify_text,
@@ -71,9 +61,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_refined(args: argparse.Namespace) -> int:
-    if min(args.max_n, args.max_r, args.max_l, args.max_p, args.max_q) < 1:
-        print("error: all bounds must be positive", file=sys.stderr)
-        return 2
     report = harness.refined_report(
         args.max_n, args.max_r, args.max_l, args.max_p, args.max_q
     )
@@ -155,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PartitionSyntaxError as exc:
+    except ValueError as exc:  # parse errors and the library's bound checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

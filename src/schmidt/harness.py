@@ -8,7 +8,7 @@ machine consumption; the text rendering is for humans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
 from .partitions import (
@@ -25,6 +25,7 @@ from .series import two_color_coefficients
 from .textform import format_partition, format_two_color
 
 
+# The field order of each report and record is its JSON key order.
 @dataclass(frozen=True)
 class VerifyRecord:
     n: int
@@ -34,33 +35,14 @@ class VerifyRecord:
     round_trip_checked: int
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s_count": self.s_count,
-            "t_count": self.t_count,
-            "series_count": self.series_count,
-            "round_trip_checked": self.round_trip_checked,
-            "pass": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class VerifyReport:
     max_n: int
     roundtrip_cutoff: int
-    records: tuple[VerifyRecord, ...]
     ok: bool
     witness: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "roundtrip_cutoff": self.roundtrip_cutoff,
-            "pass": self.ok,
-            "witness": self.witness,
-            "records": [r.to_dict() for r in self.records],
-        }
+    records: tuple[VerifyRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -76,20 +58,6 @@ class RefinedRecord:
     literal_match: bool
     transported_match: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "l": self.l,
-            "p": self.p,
-            "q": self.q,
-            "t_refined": self.t_refined,
-            "s_literal": self.s_literal,
-            "transported_count": self.transported_count,
-            "literal_match": self.literal_match,
-            "transported_match": self.transported_match,
-        }
-
 
 @dataclass(frozen=True)
 class RefinedReport:
@@ -98,19 +66,8 @@ class RefinedReport:
     max_l: int
     max_p: int
     max_q: int
-    records: tuple[RefinedRecord, ...]
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "max_r": self.max_r,
-            "max_l": self.max_l,
-            "max_p": self.max_p,
-            "max_q": self.max_q,
-            "pass": self.ok,
-            "records": [r.to_dict() for r in self.records],
-        }
+    records: tuple[RefinedRecord, ...]
 
 
 def table_pairs(n: int) -> list[tuple[TwoColorPartition, Parts]]:
@@ -262,6 +219,19 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _json_ready(value):
+    # Reports and records become dicts in field order, with ``ok`` spelled
+    # "pass"; tuples of records become lists.
+    if is_dataclass(value):
+        return {
+            "pass" if f.name == "ok" else f.name: _json_ready(getattr(value, f.name))
+            for f in fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def verify_text(report: VerifyReport) -> str:
     lines = [
         f"n={r.n} s={r.s_count} t={r.t_count} series={r.series_count}"
@@ -288,7 +258,7 @@ def verify_csv(report: VerifyReport) -> str:
 
 
 def verify_json(report: VerifyReport) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+    return json.dumps(_json_ready(report), indent=2)
 
 
 def refined_text(report: RefinedReport) -> str:
@@ -300,6 +270,12 @@ def refined_text(report: RefinedReport) -> str:
         f" transported_match={_bool(r.transported_match)}"
         for r in report.records
     ]
+    records = report.records
+    lines.append(
+        f"cells={len(records)}"
+        f" transported_match={sum(r.transported_match for r in records)}"
+        f" literal_match={sum(r.literal_match for r in records)}"
+    )
     lines.append("PASS: transported counts agree" if report.ok else "FAIL")
     return "\n".join(lines)
 
@@ -315,4 +291,4 @@ def refined_csv(report: RefinedReport) -> str:
 
 
 def refined_json(report: RefinedReport) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+    return json.dumps(_json_ready(report), indent=2)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from schmidt.bijection import (
@@ -224,6 +226,15 @@ def test_hook_round_trip_on_all_shapes():
     for n in range(1, 13):
         for shape in partitions_of(n):
             assert hook_compose(hook_decompose(shape)) == shape
+
+
+def test_hook_round_trip_on_all_vectors():
+    # hook_compose trusts that every vector check_hooks accepts is in the
+    # image; this checks it on every strictly decreasing vector of length
+    # 2-8 with entries at most 11
+    for length in range(2, 9, 2):
+        for hooks in combinations(range(11, -1, -1), length):
+            assert hook_decompose(hook_compose(hooks)) == hooks
 
 
 def test_hook_counts_strictly_decreasing():

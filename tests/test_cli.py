@@ -38,7 +38,7 @@ def test_unmap(capsys, plain, colored):
 
 @pytest.mark.parametrize(
     "argv",
-    [("map", "2x"), ("unmap", "1+2"), ("render", "3q")],
+    [("map", "2x"), ("unmap", "1+2"), ("render", "3q"), ("unmap", "²")],
 )
 def test_parse_failures_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

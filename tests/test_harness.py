@@ -54,6 +54,7 @@ def test_verify_renderings():
     assert csv[0] == "n,s,t,series,pass"
     assert csv[1] == "1,2,2,2,true"
     data = json.loads(verify_json(report))
+    assert list(data) == ["max_n", "roundtrip_cutoff", "pass", "witness", "records"]
     assert data["pass"] is True
     assert data["records"][0] == {
         "n": 1,
@@ -63,6 +64,7 @@ def test_verify_renderings():
         "round_trip_checked": 4,
         "pass": True,
     }
+    assert list(data["records"][0])[-1] == "pass"
 
 
 def test_refined_report_witness_row():
@@ -88,9 +90,18 @@ def test_refined_renderings():
     lines = refined_csv(report).splitlines()
     assert lines[0] == "n,r,l,p,q,t_refined,s_literal,transported,literal_match"
     assert "2,1,1,1,1,1,3,1,false" in lines
-    text = refined_text(report)
-    assert "t_refined=1 s_literal=3 transported=1" in text
+    text = refined_text(report).splitlines()
+    assert "t_refined=1 s_literal=3 transported=1" in text[1]
+    assert text[-2:] == [
+        "cells=2 transported_match=2 literal_match=0",
+        "PASS: transported counts agree",
+    ]
     data = json.loads(refined_json(report))
+    assert list(data) == ["max_n", "max_r", "max_l", "max_p", "max_q", "pass", "records"]
+    assert list(data["records"][0]) == [
+        "n", "r", "l", "p", "q", "t_refined", "s_literal",
+        "transported_count", "literal_match", "transported_match",
+    ]
     assert data["pass"] is True
     assert data["records"][-1]["transported_match"] is True
 
