@@ -166,16 +166,14 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
     cols = conjugate(shape)  # validates the shape
     if not cols:
         raise ValueError("cannot decompose the empty shape")
+    m = durfee_square(shape)
+    legs = [cols[j] - (j + 1) for j in range(m)] + [-1]
     out = []
-    for j in range(1, durfee_square(shape) + 1):
-        arm = shape[j - 1] - j
-        leg = cols[j - 1] - j
-        cells = arm + leg + 1
-        # row j always ends inside its hook; a leg cell (i, j) holds a 1
-        # exactly when row i has length j
-        ones = 1 + sum(1 for i in range(j + 1, j + leg + 1) if shape[i - 1] == j)
-        out.append(cells)
-        out.append(cells - ones)
+    for j in range(m):
+        cells = shape[j] - j + legs[j]  # arm + leg + 1
+        # hook j holds legs[j] - legs[j + 1] ones, the identity that
+        # hook_compose inverts
+        out += (cells, cells - (legs[j] - legs[j + 1]))
     return tuple(out)
 
 

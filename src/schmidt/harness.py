@@ -8,6 +8,7 @@ machine consumption; the text rendering is for humans.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
@@ -19,7 +20,6 @@ from .partitions import (
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
-    enumerate_two_color_refined,
 )
 from .series import two_color_coefficients
 from .textform import format_partition, format_two_color
@@ -152,14 +152,17 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     )
 
 
-def _preimage_stats(n: int) -> list[tuple[int, int, int, int]]:
-    # (num_red, num_green, max_red, max_green) of the preimage of every
-    # partition with alternating sum n
-    stats = []
-    for partition in enumerate_schmidt(n):
-        tc = schmidt_to_two_color(partition)
-        stats.append((tc.num_red, tc.num_green, tc.max_red, tc.max_green))
-    return stats
+def _stats(tc: TwoColorPartition) -> tuple[int, int, int, int]:
+    return (tc.num_red, tc.num_green, tc.max_red, tc.max_green)
+
+
+def _cell_count(tally: Counter, r: int, l: int, p: int, q: int) -> int:
+    # entries of a (num_red, num_green, max_red, max_green) tally in cell (r, l, p, q)
+    return sum(
+        count
+        for (nr, ng, mr, mg), count in tally.items()
+        if nr == r and ng == l and mr <= p and mg <= q
+    )
 
 
 def refined_report(
@@ -171,25 +174,30 @@ def refined_report(
     s_literal counts the fixed-length bounded vectors; transported_count
     counts partitions of alternating sum n whose preimage statistics
     match the bounds.  Only transported_match feeds the pass flag, the
-    literal column is recorded as data.
+    literal column is recorded as data.  Each weight's two-color
+    partitions and preimages are tallied once, and each literal vector
+    set, which depends only on (max(r, l), p+q), is counted once.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
     records = []
     for n in range(1, max_n + 1):
-        stats = _preimage_stats(n)
+        direct = Counter(_stats(tc) for tc in enumerate_two_color(n))
+        transported = Counter(
+            _stats(schmidt_to_two_color(partition)) for partition in enumerate_schmidt(n)
+        )
+        literal: dict[tuple[int, int], int] = {}
         for r in range(1, max_r + 1):
             for l in range(1, max_l + 1):
                 for p in range(1, max_p + 1):
                     for q in range(1, max_q + 1):
-                        query = RefinedQuery(n=n, r=r, l=l, p=p, q=q)
-                        t_refined = len(enumerate_two_color_refined(query))
-                        s_literal = len(enumerate_schmidt_refined_literal(query))
-                        transported = sum(
-                            1
-                            for nr, ng, mr, mg in stats
-                            if nr == r and ng == l and mr <= p and mg <= q
-                        )
+                        key = (max(r, l), p + q)
+                        if key not in literal:
+                            query = RefinedQuery(n=n, r=r, l=l, p=p, q=q)
+                            literal[key] = len(enumerate_schmidt_refined_literal(query))
+                        t_refined = _cell_count(direct, r, l, p, q)
+                        s_literal = literal[key]
+                        transported_count = _cell_count(transported, r, l, p, q)
                         records.append(
                             RefinedRecord(
                                 n=n,
@@ -199,9 +207,9 @@ def refined_report(
                                 q=q,
                                 t_refined=t_refined,
                                 s_literal=s_literal,
-                                transported_count=transported,
+                                transported_count=transported_count,
                                 literal_match=s_literal == t_refined,
-                                transported_match=transported == t_refined,
+                                transported_match=transported_count == t_refined,
                             )
                         )
     return RefinedReport(

@@ -11,7 +11,6 @@ exhaustively here, together with the bounded refinements of each count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 Parts = tuple[int, ...]
@@ -40,9 +39,11 @@ def alternating_sum(p: Parts) -> int:
 def conjugate(p: Parts) -> Parts:
     """Transpose the Young diagram of ``p``."""
     p = as_partition(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for row in p if row >= col) for col in range(1, p[0] + 1))
+    rows = len(p)
+    # column lengths, longest first: i repeated p[i-1] - p[i] times
+    return tuple(
+        i for i in range(rows, 0, -1) for _ in range(p[i - 1] - (p[i] if i < rows else 0))
+    )
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
@@ -138,25 +139,18 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """All two-color partitions of weight ``n`` in canonical order.
 
     Canonical order sorts by the merged part list, largest part first with
-    red preceding green on equal sizes.  The table of the most recently
-    asked weight is kept, so repeated calls for one weight build it once;
-    every call returns a fresh list of the shared immutable partitions.
+    red preceding green on equal sizes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_two_color_table(n))
-
-
-# One table: the refined grid asks for one weight many times in a row, and
-# every other caller asks for each weight once, so older tables are dead.
-@lru_cache(maxsize=1)
-def _two_color_table(n: int) -> tuple[TwoColorPartition, ...]:
-    out = []
-    for red_weight in range(n, -1, -1):
-        for red in partitions_of(red_weight):
-            for green in partitions_of(n - red_weight):
-                out.append(TwoColorPartition(red, green))
-    return tuple(sorted(out, key=TwoColorPartition.sort_key))
+    out = [
+        TwoColorPartition(red, green)
+        for red_weight in range(n, -1, -1)
+        for red in partitions_of(red_weight)
+        for green in partitions_of(n - red_weight)
+    ]
+    out.sort(key=TwoColorPartition.sort_key)
+    return out
 
 
 def count_two_color(n: int) -> int:
@@ -186,15 +180,21 @@ class RefinedQuery:
 
 
 def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
-    """Two-color partitions of weight ``n`` matching all four bounds."""
-    return [
-        tc
-        for tc in enumerate_two_color(query.n)
-        if tc.num_red == query.r
-        and tc.num_green == query.l
-        and tc.max_red <= query.p
-        and tc.max_green <= query.q
-    ]
+    """Two-color partitions of weight ``n`` matching all four bounds.
+
+    Only pairs of r red parts at most p and l green parts at most q are
+    built, and they are sorted in canonical order, so the result is the
+    ordered sublist of ``enumerate_two_color(n)`` that meets the bounds.
+    """
+    n, r, l, p, q = query.n, query.r, query.l, query.p, query.q
+    out = []
+    # r parts in [1, p] weigh between r and r*p, likewise l parts in [1, q]
+    for red_weight in range(max(r, n - l * q), min(r * p, n - l) + 1):
+        reds = [red for red in partitions_of(red_weight, p) if len(red) == r]
+        greens = [green for green in partitions_of(n - red_weight, q) if len(green) == l]
+        out += [TwoColorPartition(red, green) for red in reds for green in greens]
+    out.sort(key=TwoColorPartition.sort_key)
+    return out
 
 
 def _bounded_vectors(length: int, cap: int, target: int) -> Iterator[tuple[int, ...]]:
@@ -228,16 +228,6 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     Vectors have length exactly 2*max(r, l), entries in [0, p+q], and
     odd-position sum ``n``, in descending lexicographic order.  Trailing
     zeros are significant, so vectors that would trim to the same
-    partition are distinct members.  The set depends only on (length,
-    p+q, n), and the sets of the most recent 32 keys are kept; every call
-    returns a fresh list.
+    partition are distinct members.
     """
-    return list(_literal_table(2 * max(query.r, query.l), query.p + query.q, query.n))
-
-
-# The refined grid walks all cells of one weight before the next; those
-# cells share max(r, l) * (max p+q - 1) keys, 15 at the default 3x3x3x3
-# bounds and 28 at 4x4x4x4, so 32 keys cover one weight of either.
-@lru_cache(maxsize=32)
-def _literal_table(length: int, cap: int, target: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_bounded_vectors(length, cap, target))
+    return list(_bounded_vectors(2 * max(query.r, query.l), query.p + query.q, query.n))

@@ -14,6 +14,11 @@ from schmidt.harness import (
     verify_report,
     verify_text,
 )
+from schmidt.partitions import (
+    RefinedQuery,
+    enumerate_schmidt_refined_literal,
+    enumerate_two_color_refined,
+)
 
 
 def test_table_text():
@@ -83,6 +88,15 @@ def test_refined_report_grid_shape_and_order():
     keys = [(r.n, r.r, r.l, r.p, r.q) for r in report.records]
     assert len(keys) == 2 * 16
     assert keys == sorted(keys)
+
+
+def test_refined_report_counts_match_the_cell_enumerators():
+    report = refined_report(7, 3, 3, 3, 3)
+    assert len(report.records) == 7 * 81
+    for row in report.records:
+        query = RefinedQuery(row.n, row.r, row.l, row.p, row.q)
+        assert row.t_refined == len(enumerate_two_color_refined(query))
+        assert row.s_literal == len(enumerate_schmidt_refined_literal(query))
 
 
 def test_refined_renderings():

@@ -63,6 +63,14 @@ def test_conjugate(p, expected):
     assert conjugate(p) == expected
 
 
+def test_conjugate_matches_column_definition():
+    # column c of the diagram holds one cell per row of length >= c
+    for n in range(19):
+        for p in partitions_of(n):
+            columns = range(1, p[0] + 1) if p else ()
+            assert conjugate(p) == tuple(sum(1 for row in p if row >= c) for c in columns)
+
+
 def test_conjugate_involution_exhaustive():
     for n in range(21):
         for p in partitions_of(n):
@@ -228,6 +236,23 @@ def test_literal_vectors_have_fixed_length_and_order():
     assert out == sorted(out, reverse=True)
     # trailing zeros distinguish members
     assert (1, 1, 1, 1) in out and (1, 1, 1, 0) in out
+
+
+def test_refined_is_the_ordered_filter_of_the_full_table():
+    # p = q = n + 1 exceeds every part, so those cells bound only the counts
+    for n in range(9):
+        table = enumerate_two_color(n)
+        for r, l in itertools.product(range(1, 5), repeat=2):
+            for p, q in itertools.product(range(1, n + 2), repeat=2):
+                expected = [
+                    tc
+                    for tc in table
+                    if tc.num_red == r
+                    and tc.num_green == l
+                    and tc.max_red <= p
+                    and tc.max_green <= q
+                ]
+                assert enumerate_two_color_refined(RefinedQuery(n, r, l, p, q)) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 7))
