@@ -126,11 +126,12 @@ def wright_build(pair: DistinctPair) -> Parts:
     """
     m = pair.m
     rows = [j + pair.arms[j - 1] for j in range(1, m + 1)]
-    for i in range(m + 1, pair.legs[0] + 2):
-        row = sum(1 for j in range(1, m + 1) if pair.legs[j - 1] + j >= i)
-        if row == 0:
-            break
-        rows.append(row)
+    # column j ends in row legs[j] + j, which does not grow with j, so rows
+    # ends[j] + 1 .. ends[j - 1] below the diagonal hold exactly j cells,
+    # and the shape is built in O(m + rows)
+    ends = [leg + j for j, leg in enumerate(pair.legs, 1)] + [m]
+    for j in range(m, 0, -1):
+        rows += [j] * (ends[j - 1] - ends[j])
     return tuple(rows)
 
 

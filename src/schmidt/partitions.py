@@ -10,6 +10,7 @@ exhaustively here, together with the bounded refinements of each count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -190,36 +191,44 @@ def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
     out = []
     # r parts in [1, p] weigh between r and r*p, likewise l parts in [1, q]
     for red_weight in range(max(r, n - l * q), min(r * p, n - l) + 1):
-        reds = [red for red in partitions_of(red_weight, p) if len(red) == r]
-        greens = [green for green in partitions_of(n - red_weight, q) if len(green) == l]
+        reds = _decreasing(red_weight, r, 1, p)
+        greens = _decreasing(n - red_weight, l, 1, q)
         out += [TwoColorPartition(red, green) for red in reds for green in greens]
     out.sort(key=TwoColorPartition.sort_key)
     return out
 
 
-def _bounded_vectors(length: int, cap: int, target: int) -> Iterator[tuple[int, ...]]:
-    # Weakly decreasing vectors of the given length, entries in [0, cap],
-    # whose odd-position (0-based even index) entries sum to ``target``.
-    # Every entry is tried from largest to smallest and all vectors have
-    # the same length, so they come out in descending lexicographic order.
-    def extend(prefix: list[int], bound: int, odd_left: int) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == length:
-            if odd_left == 0:
-                yield tuple(prefix)
-            return
-        if i % 2 == 0:
-            slots_after = (length - i - 1) // 2
-            for v in range(min(bound, odd_left), -1, -1):
-                if odd_left - v <= slots_after * v:
-                    yield from extend(prefix + [v], v, odd_left - v)
-        else:
-            slots_after = (length - i) // 2
-            for v in range(bound, -1, -1):
-                if odd_left <= slots_after * v:
-                    yield from extend(prefix + [v], v, odd_left)
+def _decreasing(total: int, count: int, low: int, high: int) -> list[tuple[int, ...]]:
+    # Weakly decreasing count-tuples (count >= 1) with entries in [low, high]
+    # summing to total, in descending lexicographic order.  The first entry
+    # runs down from the largest that leaves low for every later entry to the
+    # mean rounded up, so every recursive call has a nonempty answer.
+    if not count * low <= total <= count * high:
+        return []
+    if count == 1:
+        return [(total,)]
+    out = []
+    for first in range(min(high, total - (count - 1) * low), -(-total // count) - 1, -1):
+        out += [(first,) + rest for rest in _decreasing(total - first, count - 1, low, first)]
+    return out
 
-    yield from extend([], cap, target)
+
+def _bounded_vectors(length: int, cap: int, target: int) -> list[tuple[int, ...]]:
+    # Weakly decreasing vectors of even length, entries in [0, cap], whose
+    # odd-position (0-based even index) entries sum to ``target``.  Those
+    # entries are a decreasing tuple of heads; each even-position entry then
+    # ranges on its own from the head before it down to the head after it
+    # (to 0 for the last), so each tuple's vectors are one product, built in
+    # C.  Products of different heads interleave in lexicographic order, so
+    # the whole list is sorted once at the end.
+    out = []
+    for heads in _decreasing(target, length // 2, 0, cap):
+        factors = []
+        for head, after in zip(heads, heads[1:] + (0,)):
+            factors += [(head,), range(head, after - 1, -1)]
+        out += itertools.product(*factors)
+    out.sort(reverse=True)
+    return out
 
 
 def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ...]]:
@@ -230,4 +239,4 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     zeros are significant, so vectors that would trim to the same
     partition are distinct members.
     """
-    return list(_bounded_vectors(2 * max(query.r, query.l), query.p + query.q, query.n))
+    return _bounded_vectors(2 * max(query.r, query.l), query.p + query.q, query.n)

@@ -174,11 +174,17 @@ def test_wright_round_trip_on_all_shapes():
 
 
 def test_wright_build_matches_cell_oracle():
-    for n in range(1, 13):
-        for shape in partitions_of(n):
-            pair = wright_split(shape)
-            assert wright_build(pair) == build_by_cells(pair.arms, pair.legs)
-            assert sum(wright_build(pair)) == sum(pair.arms) + sum(pair.legs) + pair.m
+    pairs = [wright_split(shape) for n in range(1, 13) for shape in partitions_of(n)]
+    # every pair with m <= 3 and entries <= 9, long legs beside short arms too
+    pairs += [
+        DistinctPair(arms, legs)
+        for m in range(1, 4)
+        for arms in combinations(range(9, -1, -1), m)
+        for legs in combinations(range(9, -1, -1), m)
+    ]
+    for pair in pairs:
+        assert wright_build(pair) == build_by_cells(pair.arms, pair.legs)
+        assert sum(wright_build(pair)) == sum(pair.arms) + sum(pair.legs) + pair.m
 
 
 def test_durfee_square():

@@ -217,17 +217,20 @@ def test_enumerate_schmidt_refined_literal(query, expected):
 
 
 def test_literal_vectors_match_product_scan():
-    # dumb oracle: scan the full grid of fixed-length vectors
-    for n, r, l, p, q in itertools.product(range(5), (1, 2), (1, 2), (1, 2), (1, 2)):
-        query = RefinedQuery(n, r, l, p, q)
-        length = 2 * max(r, l)
-        cap = p + q
-        expected = {
-            v
-            for v in itertools.product(range(cap + 1), repeat=length)
-            if all(a >= b for a, b in zip(v, v[1:])) and sum(v[::2]) == n
-        }
-        assert set(enumerate_schmidt_refined_literal(query)) == expected
+    # dumb oracle: scan every weakly decreasing vector of the length (each
+    # combination with replacement, reversed), grouped by odd-position sum
+    # and sorted descending; the enumerator must give the same ordered list
+    for length, cap in itertools.product((2, 4, 6, 8), range(2, 9)):
+        by_sum = {}
+        for v in itertools.combinations_with_replacement(range(cap + 1), length):
+            v = v[::-1]
+            by_sum.setdefault(sum(v[::2]), []).append(v)
+        k, a = length // 2, cap // 2
+        for n in range(13):
+            expected = sorted(by_sum.get(n, []), reverse=True)
+            # the length comes from max(r, l) and the cap from p + q
+            for query in (RefinedQuery(n, k, 1, a, cap - a), RefinedQuery(n, 1, k, cap - a, a)):
+                assert enumerate_schmidt_refined_literal(query) == expected
 
 
 def test_literal_vectors_have_fixed_length_and_order():
