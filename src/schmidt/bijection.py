@@ -210,9 +210,11 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
     hooks = check_hooks(hooks)
     m = len(hooks) // 2
     ones = [hooks[2 * j] - hooks[2 * j + 1] for j in range(m)]
-    legs = tuple(
-        (m - j) + sum(o - 1 for o in ones[j - 1 :]) for j in range(1, m + 1)
-    )
+    legs = [0] * m
+    tail = 0  # sum of ones[k] - 1 over k >= j (0-based), from the last hook up
+    for j in range(m - 1, -1, -1):
+        tail += ones[j] - 1
+        legs[j] = (m - 1 - j) + tail
     arms = tuple(hooks[2 * j] - 1 - legs[j] for j in range(m))
     return wright_build(DistinctPair(arms, legs))
 

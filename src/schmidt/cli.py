@@ -2,6 +2,8 @@
 
 Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
 on success, 1 on a verification failure, 2 on usage or parse errors.
+The argument parser is built once per process, on the first call of
+`build_parser`, and every later `main` call reuses it.
 """
 
 from __future__ import annotations
@@ -97,7 +99,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process's one parser, building it on the first call.
+
+    It is built then and not at import, so importing the module stays
+    cheap.  Callers share it, so treat it as read-only: `parse_args`
+    makes a fresh namespace each time and leaves the parser unchanged.
+    `main` calls this on every call, so a wrapper put over it still sees
+    one call per `main` call.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="schmidt",
         description="Two-color partitions, Schmidt partitions, and the map between them.",
@@ -135,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("colored")
     cmd.set_defaults(func=_cmd_render)
 
+    _parser = parser
     return parser
 
 

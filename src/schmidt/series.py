@@ -58,22 +58,17 @@ def series_recip(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _one_minus_power(k: int, order: int) -> TruncatedSeries:
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    if k <= order:
-        coeffs[k] = -1
-    return TruncatedSeries(tuple(coeffs))
-
-
 def two_color_coefficients(order: int) -> tuple[int, ...]:
     """Coefficients of the product over k >= 1 of 1/(1 - q^k)^2.
 
     Entry n counts the two-color partitions of n; factors with k beyond
-    the truncation order do not affect the kept coefficients.
+    the truncation order do not affect the kept coefficients.  The product
+    of the (1 - q^k) is built in place, one sparse factor at a time, before
+    one reciprocal and one squaring.
     """
-    product = series_one(order)
+    product = list(series_one(order).coefficients)
     for k in range(1, order + 1):
-        product = series_mul(product, _one_minus_power(k, order))
-    inverse = series_recip(product)
+        for i in range(order, k - 1, -1):  # downwards, so product[i - k] is still old
+            product[i] -= product[i - k]
+    inverse = series_recip(TruncatedSeries(tuple(product)))
     return series_mul(inverse, inverse).coefficients

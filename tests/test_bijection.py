@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -241,6 +242,26 @@ def test_hook_round_trip_on_all_vectors():
     for length in range(2, 9, 2):
         for hooks in combinations(range(11, -1, -1), length):
             assert hook_decompose(hook_compose(hooks)) == hooks
+
+
+def test_hook_compose_matches_quadratic_leg_formula():
+    # the legs' defining sum, recomputed for every hook, as oracle for the
+    # running suffix sum
+    for length in range(2, 9, 2):
+        for hooks in combinations(range(12, -1, -1), length):
+            m = length // 2
+            ones = [hooks[2 * j] - hooks[2 * j + 1] for j in range(m)]
+            legs = tuple(
+                (m - j) + sum(o - 1 for o in ones[j - 1 :]) for j in range(1, m + 1)
+            )
+            arms = tuple(hooks[2 * j] - 1 - legs[j] for j in range(m))
+            assert hook_compose(hooks) == wright_build(DistinctPair(arms, legs))
+
+
+def test_unmap_is_linear_in_the_number_of_hooks():
+    start = time.perf_counter()
+    schmidt_to_two_color(tuple(range(20000, 0, -1)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hook_counts_strictly_decreasing():

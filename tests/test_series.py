@@ -62,6 +62,20 @@ def test_two_color_coefficients_match_enumeration():
         assert coefficients[n] == count_two_color(n)
 
 
+def test_two_color_coefficients_match_the_full_product():
+    # the N-fold product of dense (1 - q^k) factors, as oracle for the
+    # in-place sparse updates
+    for order in range(61):
+        product = series_one(order)
+        for k in range(1, order + 1):
+            factor = [0] * (order + 1)
+            factor[0] = 1
+            factor[k] = -1
+            product = series_mul(product, TruncatedSeries(tuple(factor)))
+        inverse = series_recip(product)
+        assert two_color_coefficients(order) == series_mul(inverse, inverse).coefficients
+
+
 def test_truncation_is_an_ideal():
     # multiplying by q^k zeroes the top k coefficients only
     shift = TruncatedSeries((0, 0, 1, 0, 0))
