@@ -14,6 +14,8 @@ independently; the composites are `two_color_to_schmidt` and
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .partitions import Parts, TwoColorPartition, as_partition, conjugate
@@ -26,13 +28,12 @@ class NotInImageError(ValueError):
 def _check_counts(name: str, seq: tuple[int, ...], strictly: bool) -> None:
     if len(seq) < 1:
         raise ValueError(f"{name} must be nonempty")
-    if any(x < 0 for x in seq):
+    if min(seq) < 0:
         raise ValueError(f"{name} entries must be nonnegative: {seq!r}")
-    for a, b in zip(seq, seq[1:]):
-        if strictly and a <= b:
-            raise ValueError(f"{name} must be strictly decreasing: {seq!r}")
-        if not strictly and a < b:
-            raise ValueError(f"{name} must be weakly decreasing: {seq!r}")
+    # neighbours are compared through an offset iterator, without a copy
+    if not all(map(operator.gt if strictly else operator.ge, seq, itertools.islice(seq, 1, None))):
+        order = "strictly" if strictly else "weakly"
+        raise ValueError(f"{name} must be {order} decreasing: {seq!r}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,9 @@ def pad_colors(two_color: TwoColorPartition) -> PaddedPair:
 
 def add_staircase(padded: PaddedPair) -> DistinctPair:
     """Add m-1, m-2, ..., 1, 0 to both sequences, forcing distinct parts."""
-    m = padded.m
-    arms = tuple(x + (m - 1 - j) for j, x in enumerate(padded.red))
-    legs = tuple(x + (m - 1 - j) for j, x in enumerate(padded.green))
+    stairs = range(padded.m - 1, -1, -1)
+    arms = list(map(operator.add, padded.red, stairs))
+    legs = list(map(operator.add, padded.green, stairs))
     return DistinctPair(arms, legs)
 
 
@@ -101,14 +102,16 @@ def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
     Returns the recovered two-color partition together with the case tag
     "r<=l" or "r>l".  Both sequences of a `DistinctPair` strictly decrease
     and are nonnegative, so subtracting m-1, ..., 1, 0 always leaves
-    weakly decreasing nonnegative sequences.  Raises NotInImageError when
-    neither color then has exactly m nonzero parts.
+    weakly decreasing nonnegative sequences, whose zeros all come last.
+    Raises NotInImageError when neither color then has exactly m nonzero
+    parts.
     """
     m = pair.m
-    red_padded = tuple(x - (m - 1 - j) for j, x in enumerate(pair.arms))
-    green_padded = tuple(x - (m - 1 - j) for j, x in enumerate(pair.legs))
-    red = tuple(x for x in red_padded if x > 0)
-    green = tuple(x for x in green_padded if x > 0)
+    stairs = range(m - 1, -1, -1)
+    red_padded = list(map(operator.sub, pair.arms, stairs))
+    green_padded = list(map(operator.sub, pair.legs, stairs))
+    red = red_padded[: m - red_padded.count(0)]
+    green = green_padded[: m - green_padded.count(0)]
     if max(len(red), len(green)) != m:
         raise NotInImageError(f"padded length {m} does not match max(r, l): {pair!r}")
     case = "r<=l" if len(red) <= len(green) else "r>l"
@@ -125,7 +128,7 @@ def wright_build(pair: DistinctPair) -> Parts:
     them does not grow with i and is at most m <= row m.
     """
     m = pair.m
-    rows = [j + pair.arms[j - 1] for j in range(1, m + 1)]
+    rows = list(map(operator.add, pair.arms, range(1, m + 1)))
     # column j ends in row legs[j] + j, which does not grow with j, so rows
     # ends[j] + 1 .. ends[j - 1] below the diagonal hold exactly j cells,
     # and the shape is built in O(m + rows)
@@ -150,8 +153,8 @@ def wright_split(shape: Parts) -> DistinctPair:
     if not cols:
         raise ValueError("cannot split the empty shape")
     m = durfee_square(shape)
-    arms = tuple(shape[j] - (j + 1) for j in range(m))
-    legs = tuple(cols[j] - (j + 1) for j in range(m))
+    arms = list(map(operator.sub, shape[:m], range(1, m + 1)))
+    legs = list(map(operator.sub, cols[:m], range(1, m + 1)))
     return DistinctPair(arms, legs)
 
 
@@ -168,13 +171,15 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
     if not cols:
         raise ValueError("cannot decompose the empty shape")
     m = durfee_square(shape)
-    legs = [cols[j] - (j + 1) for j in range(m)] + [-1]
-    out = []
-    for j in range(m):
-        cells = shape[j] - j + legs[j]  # arm + leg + 1
-        # hook j holds legs[j] - legs[j + 1] ones, the identity that
-        # hook_compose inverts
-        out += (cells, cells - (legs[j] - legs[j + 1]))
+    legs = list(map(operator.sub, cols[:m], range(1, m + 1)))
+    # arm + leg + 1 = (shape[j] - j - 1) + legs[j] + 1
+    cells = list(map(operator.add, map(operator.sub, shape[:m], range(m)), legs))
+    # hook j holds legs[j] - legs[j + 1] ones (legs[m] = -1), the identity
+    # that hook_compose inverts
+    ones = map(operator.sub, legs, legs[1:] + [-1])
+    out = [0] * (2 * m)
+    out[0::2] = cells
+    out[1::2] = map(operator.sub, cells, ones)
     return tuple(out)
 
 
@@ -188,9 +193,9 @@ def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
     hooks = tuple(hooks)
     if not hooks or len(hooks) % 2 != 0:
         raise NotInImageError(f"hook vector must have even positive length: {hooks!r}")
-    if any(x < 0 for x in hooks):
+    if min(hooks) < 0:
         raise NotInImageError(f"hook counts must be nonnegative: {hooks!r}")
-    if any(a <= b for a, b in zip(hooks, hooks[1:])):
+    if not all(map(operator.gt, hooks, itertools.islice(hooks, 1, None))):
         raise NotInImageError(f"hook counts must be strictly decreasing: {hooks!r}")
     return hooks
 
@@ -199,8 +204,9 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
     """Rebuild the unique shape whose hook decomposition is ``hooks``.
 
     With ones[j] the 1-count of hook j (cells minus 2's), the legs satisfy
-    legs[j] = (m-j) + sum over k >= j of (ones[k] - 1) and the arms follow
-    from cells[j] = arms[j] + legs[j] + 1.  A vector that `check_hooks`
+    legs[j] = (m-j) + sum over k >= j of (ones[k] - 1), that is
+    legs[j] + 1 = sum over k >= j of ones[k], and the arms follow from
+    cells[j] = arms[j] + legs[j] + 1.  A vector that `check_hooks`
     accepts strictly decreases, so every ones[j] >= 1.  Consecutive legs
     then differ by ones[j] >= 1 and the last leg is ones[m] - 1 >= 0;
     consecutive arms differ by the 2-count of hook j minus the cell count
@@ -208,14 +214,13 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
     So the pair is always valid, and its shape decomposes back to ``hooks``.
     """
     hooks = check_hooks(hooks)
-    m = len(hooks) // 2
-    ones = [hooks[2 * j] - hooks[2 * j + 1] for j in range(m)]
-    legs = [0] * m
-    tail = 0  # sum of ones[k] - 1 over k >= j (0-based), from the last hook up
-    for j in range(m - 1, -1, -1):
-        tail += ones[j] - 1
-        legs[j] = (m - 1 - j) + tail
-    arms = tuple(hooks[2 * j] - 1 - legs[j] for j in range(m))
+    cells = hooks[0::2]
+    ones = list(map(operator.sub, cells, hooks[1::2]))
+    # legs[j] + 1 for every j: the suffix sums of ones, from the last hook up
+    reach = list(itertools.accumulate(reversed(ones)))
+    reach.reverse()
+    legs = list(map(operator.sub, reach, itertools.repeat(1)))
+    arms = list(map(operator.sub, cells, reach))
     return wright_build(DistinctPair(arms, legs))
 
 
@@ -226,11 +231,9 @@ def hooks_to_schmidt(hooks: tuple[int, ...]) -> Parts:
     >= 2m-1-i and the result is always a partition.
     """
     hooks = check_hooks(hooks)
-    length = len(hooks)
-    out = [x - (length - 1 - i) for i, x in enumerate(hooks[:-1])]
-    out.append(hooks[-1])
-    while out and out[-1] == 0:
-        out.pop()
+    out = list(map(operator.sub, hooks, range(len(hooks) - 1, -1, -1)))
+    # out is weakly decreasing and nonnegative, so its zeros come last
+    del out[len(out) - out.count(0) :]
     return tuple(out)
 
 
@@ -241,8 +244,9 @@ def schmidt_to_hooks(partition: Parts) -> tuple[int, ...]:
         raise ValueError("cannot lift the empty partition")
     length = 2 * ((len(p) + 1) // 2)
     padded = p + (0,) * (length - len(p))
-    out = tuple(x + (length - 1 - i) for i, x in enumerate(padded[:-1]))
-    return out + (padded[-1],)
+    # tuple() sizes a list exactly, but starts a map at ten slots and then
+    # shrinks it, which leaves tuples of the short size on the free lists
+    return tuple(list(map(operator.add, padded, range(length - 1, -1, -1))))
 
 
 def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:

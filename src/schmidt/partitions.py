@@ -10,7 +10,9 @@ exhaustively here, together with the bounded refinements of each count.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -18,11 +20,18 @@ Parts = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int]) -> Parts:
-    """Normalize ``parts`` to a tuple, checking the partition invariants."""
+    """Normalize ``parts`` to a tuple, checking the partition invariants.
+
+    A tuple is returned as it is, not copied, and neither check copies it:
+    each neighbour pair is compared in place through an offset iterator.
+    A nonpositive part is reported before a misordered pair.
+    """
     p = tuple(parts)
-    if any(x < 1 for x in p):
+    decreasing = all(map(operator.ge, p, itertools.islice(p, 1, None)))
+    # the least part of a weakly decreasing p is its last
+    if p and (p[-1] if decreasing else min(p)) < 1:
         raise ValueError(f"parts must be positive integers: {p!r}")
-    if any(a < b for a, b in zip(p, p[1:])):
+    if not decreasing:
         raise ValueError(f"parts must be weakly decreasing: {p!r}")
     return p
 
@@ -38,13 +47,27 @@ def alternating_sum(p: Parts) -> int:
 
 
 def conjugate(p: Parts) -> Parts:
-    """Transpose the Young diagram of ``p``."""
+    """Transpose the Young diagram of ``p``.
+
+    The rows are read as runs of equal length.  A run ending after row j
+    whose rows are d cells longer than the next row down (or than 0, for
+    the last run) contributes d columns of length j.  The end of each run
+    is found by binary search, so past the check of the rows, one pass in
+    C, the cost is O(runs * log rows) plus the output, however many rows a
+    run holds.
+    """
     p = as_partition(p)
     rows = len(p)
-    # column lengths, longest first: i repeated p[i-1] - p[i] times
-    return tuple(
-        i for i in range(rows, 0, -1) for _ in range(p[i - 1] - (p[i] if i < rows else 0))
-    )
+    runs = []
+    i = 0
+    while i < rows:
+        # p is decreasing, so -p is increasing: the first row shorter than p[i]
+        j = bisect.bisect_right(p, -p[i], i, key=operator.neg)
+        runs.append((j, p[i] - (p[j] if j < rows else 0)))
+        i = j
+    # the longest columns come from the last run
+    columns = itertools.starmap(itertools.repeat, reversed(runs))
+    return tuple(itertools.chain.from_iterable(columns))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
@@ -144,12 +167,12 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [
-        TwoColorPartition(red, green)
-        for red_weight in range(n, -1, -1)
-        for red in partitions_of(red_weight)
-        for green in partitions_of(n - red_weight)
-    ]
+    out = []
+    for red_weight in range(n, -1, -1):
+        greens = list(partitions_of(n - red_weight))
+        out += [
+            TwoColorPartition(red, green) for red in partitions_of(red_weight) for green in greens
+        ]
     out.sort(key=TwoColorPartition.sort_key)
     return out
 

