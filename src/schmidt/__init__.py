@@ -40,7 +40,6 @@ from .partitions import (
     enumerate_two_color,
     enumerate_two_color_refined,
     partitions_of,
-    weight,
 )
 from .series import TruncatedSeries, series_mul, series_one, series_recip, two_color_coefficients
 from .textform import (
@@ -95,7 +94,6 @@ __all__ = [
     "two_color_from_dict",
     "two_color_to_dict",
     "two_color_to_schmidt",
-    "weight",
     "wright_build",
     "wright_split",
 ]

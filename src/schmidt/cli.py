@@ -49,29 +49,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = harness.verify_report(args.max_n, args.roundtrip_cutoff)
-    renderers = {
-        "text": harness.verify_text,
-        "csv": harness.verify_csv,
-        "json": harness.verify_json,
-    }
-    print(renderers[args.format](report))
-    if not report.ok and args.format != "text":
-        print(f"FAIL: {report.witness}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
-def _cmd_refined(args: argparse.Namespace) -> int:
-    report = harness.refined_report(
-        args.max_n, args.max_r, args.max_l, args.max_p, args.max_q
-    )
-    renderers = {
-        "text": harness.refined_text,
-        "csv": harness.refined_csv,
-        "json": harness.refined_json,
-    }
-    print(renderers[args.format](report))
+def _cmd_report(args: argparse.Namespace) -> int:
+    report = args.build(args)  # looks harness up now, so a rebinding of it is seen
+    out = harness.format_report(report, args.format)
+    print(out)
+    # a failing report whose output does not end with its summary gives it on stderr
+    if not report.ok and not out.endswith(report.summary):
+        print(report.summary, file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -135,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("verify", help="compare counts and run round trips")
     cmd.add_argument("--max-n", type=int, default=20)
     cmd.add_argument("--roundtrip-cutoff", type=int, default=12)
-    cmd.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    cmd.set_defaults(func=_cmd_verify)
+    cmd.add_argument("--format", choices=harness.FORMATS, default=harness.FORMATS[0])
+    cmd.set_defaults(
+        func=_cmd_report, build=lambda a: harness.verify_report(a.max_n, a.roundtrip_cutoff)
+    )
 
     cmd = sub.add_parser("refined", help="run the four-parameter refinement grid")
     cmd.add_argument("--max-n", type=int, default=8)
@@ -144,8 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-l", type=int, default=3)
     cmd.add_argument("--max-p", type=int, default=3)
     cmd.add_argument("--max-q", type=int, default=3)
-    cmd.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    cmd.set_defaults(func=_cmd_refined)
+    cmd.add_argument("--format", choices=harness.FORMATS, default=harness.FORMATS[0])
+    cmd.set_defaults(
+        func=_cmd_report,
+        build=lambda a: harness.refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q),
+    )
 
     cmd = sub.add_parser("render", help="show every intermediate of the forward map")
     cmd.add_argument("colored")

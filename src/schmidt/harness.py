@@ -1,8 +1,8 @@
 """Verification reports: count agreement, round trips, and refinements.
 
 Everything here is a pure function of its arguments, so reports are
-byte-for-byte reproducible.  CSV and JSON renderings are provided for
-machine consumption; the text rendering is for humans.
+byte-for-byte reproducible.  `format_report` renders either report in
+any of `FORMATS`: CSV and JSON for machine consumption, text for humans.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ from .series import two_color_coefficients
 from .textform import format_partition, format_two_color
 
 
+FORMATS = ("text", "csv", "json")  # the first is the default
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
 # The field order of each report and record is its JSON key order.
 @dataclass(frozen=True)
 class VerifyRecord:
@@ -43,6 +50,26 @@ class VerifyReport:
     ok: bool
     witness: str | None
     records: tuple[VerifyRecord, ...]
+
+    @property
+    def summary(self) -> str:
+        if not self.ok:
+            return f"FAIL: {self.witness}"
+        bounds = f"max_n={self.max_n}, cutoff={self.roundtrip_cutoff}"
+        return f"PASS: counts agree and round trips hold ({bounds})"
+
+    def _text_rows(self) -> list[str]:
+        return [
+            f"n={r.n} s={r.s_count} t={r.t_count} series={r.series_count}"
+            f" roundtrips={r.round_trip_checked} {'ok' if r.ok else 'MISMATCH'}"
+            for r in self.records
+        ]
+
+    def _csv_rows(self) -> list[str]:
+        return ["n,s,t,series,pass"] + [
+            f"{r.n},{r.s_count},{r.t_count},{r.series_count},{_bool(r.ok)}"
+            for r in self.records
+        ]
 
 
 @dataclass(frozen=True)
@@ -68,6 +95,37 @@ class RefinedReport:
     max_q: int
     ok: bool
     records: tuple[RefinedRecord, ...]
+
+    @property
+    def summary(self) -> str:
+        if self.ok:
+            return "PASS: transported counts agree"
+        # ok is false only when some record's transported count differs
+        r = next(r for r in self.records if not r.transported_match)
+        cell = f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
+        return f"FAIL: {cell} t_refined={r.t_refined} transported={r.transported_count}"
+
+    def _text_rows(self) -> list[str]:
+        records = self.records
+        return [
+            f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
+            f" t_refined={r.t_refined} s_literal={r.s_literal}"
+            f" transported={r.transported_count}"
+            f" literal_match={_bool(r.literal_match)}"
+            f" transported_match={_bool(r.transported_match)}"
+            for r in records
+        ] + [
+            f"cells={len(records)}"
+            f" transported_match={sum(r.transported_match for r in records)}"
+            f" literal_match={sum(r.literal_match for r in records)}"
+        ]
+
+    def _csv_rows(self) -> list[str]:
+        return ["n,r,l,p,q,t_refined,s_literal,transported,literal_match"] + [
+            f"{r.n},{r.r},{r.l},{r.p},{r.q},{r.t_refined},{r.s_literal},"
+            f"{r.transported_count},{_bool(r.literal_match)}"
+            for r in self.records
+        ]
 
 
 def table_pairs(n: int) -> list[tuple[TwoColorPartition, Parts]]:
@@ -223,10 +281,6 @@ def refined_report(
     )
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _json_ready(value):
     # Reports and records become dicts in field order, with ``ok`` spelled
     # "pass"; tuples of records become lists.
@@ -240,63 +294,12 @@ def _json_ready(value):
     return value
 
 
-def verify_text(report: VerifyReport) -> str:
-    lines = [
-        f"n={r.n} s={r.s_count} t={r.t_count} series={r.series_count}"
-        f" roundtrips={r.round_trip_checked} {'ok' if r.ok else 'MISMATCH'}"
-        for r in report.records
-    ]
-    if report.ok:
-        lines.append(
-            f"PASS: counts agree and round trips hold"
-            f" (max_n={report.max_n}, cutoff={report.roundtrip_cutoff})"
-        )
-    else:
-        lines.append(f"FAIL: {report.witness}")
-    return "\n".join(lines)
-
-
-def verify_csv(report: VerifyReport) -> str:
-    lines = ["n,s,t,series,pass"]
-    lines += [
-        f"{r.n},{r.s_count},{r.t_count},{r.series_count},{_bool(r.ok)}"
-        for r in report.records
-    ]
-    return "\n".join(lines)
-
-
-def verify_json(report: VerifyReport) -> str:
-    return json.dumps(_json_ready(report), indent=2)
-
-
-def refined_text(report: RefinedReport) -> str:
-    lines = [
-        f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
-        f" t_refined={r.t_refined} s_literal={r.s_literal}"
-        f" transported={r.transported_count}"
-        f" literal_match={_bool(r.literal_match)}"
-        f" transported_match={_bool(r.transported_match)}"
-        for r in report.records
-    ]
-    records = report.records
-    lines.append(
-        f"cells={len(records)}"
-        f" transported_match={sum(r.transported_match for r in records)}"
-        f" literal_match={sum(r.literal_match for r in records)}"
-    )
-    lines.append("PASS: transported counts agree" if report.ok else "FAIL")
-    return "\n".join(lines)
-
-
-def refined_csv(report: RefinedReport) -> str:
-    lines = ["n,r,l,p,q,t_refined,s_literal,transported,literal_match"]
-    lines += [
-        f"{r.n},{r.r},{r.l},{r.p},{r.q},{r.t_refined},{r.s_literal},"
-        f"{r.transported_count},{_bool(r.literal_match)}"
-        for r in report.records
-    ]
-    return "\n".join(lines)
-
-
-def refined_json(report: RefinedReport) -> str:
-    return json.dumps(_json_ready(report), indent=2)
+def format_report(report: VerifyReport | RefinedReport, fmt: str) -> str:
+    """Render a report in one of `FORMATS`; the text format ends with its summary."""
+    if fmt == "text":
+        return "\n".join([*report._text_rows(), report.summary])
+    if fmt == "csv":
+        return "\n".join(report._csv_rows())
+    if fmt == "json":
+        return json.dumps(_json_ready(report), indent=2)
+    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")

@@ -36,11 +36,6 @@ def as_partition(parts: Iterable[int]) -> Parts:
     return p
 
 
-def weight(p: Parts) -> int:
-    """Sum of all parts."""
-    return sum(p)
-
-
 def alternating_sum(p: Parts) -> int:
     """Sum of the parts in odd positions (first, third, fifth, ...)."""
     return sum(p[::2])

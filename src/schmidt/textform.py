@@ -62,11 +62,7 @@ def parse_two_color(text: str) -> TwoColorPartition:
 
 def format_two_color(two_color: TwoColorPartition) -> str:
     """Emit the canonical colored form; the empty partition becomes "0"."""
-    merged = [(-s, 0, s, "r") for s in two_color.red]
-    merged += [(-s, 1, s, "g") for s in two_color.green]
-    if not merged:
-        return "0"
-    return "+".join(f"{size}{letter}" for _, _, size, letter in sorted(merged))
+    return "+".join([f"{-s}{'rg'[c]}" for s, c in two_color.sort_key()]) or "0"
 
 
 def two_color_to_dict(two_color: TwoColorPartition) -> dict[str, list[int]]:
@@ -75,13 +71,21 @@ def two_color_to_dict(two_color: TwoColorPartition) -> dict[str, list[int]]:
 
 
 def two_color_from_dict(data: dict[str, list[int]]) -> TwoColorPartition:
-    """Inverse of `two_color_to_dict`; unknown keys are rejected."""
+    """Inverse of `two_color_to_dict`.
+
+    Anything but a dict, unknown keys, a color that is not a list or tuple,
+    and a part that is not a plain ``int`` (``bool`` included) are rejected.
+    """
+    if not isinstance(data, dict):
+        raise PartitionSyntaxError(f"expected a dict of colors: {data!r}")
     extra = set(data) - {"red", "green"}
     if extra:
         raise PartitionSyntaxError(f"unexpected keys: {sorted(extra)}")
+    red, green = data.get("red", ()), data.get("green", ())
+    for color, parts in (("red", red), ("green", green)):
+        if not isinstance(parts, (list, tuple)) or any(type(x) is not int for x in parts):
+            raise PartitionSyntaxError(f"{color} must be a list of integers: {parts!r}")
     try:
-        return TwoColorPartition(
-            tuple(data.get("red", ())), tuple(data.get("green", ()))
-        )
+        return TwoColorPartition(tuple(red), tuple(green))
     except ValueError as exc:
         raise PartitionSyntaxError(str(exc)) from None

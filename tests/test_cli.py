@@ -7,9 +7,45 @@ import pytest
 
 import schmidt.cli
 from schmidt.cli import build_parser, main
-from schmidt.harness import VerifyRecord, VerifyReport
+from schmidt.harness import (
+    RefinedRecord,
+    RefinedReport,
+    VerifyRecord,
+    VerifyReport,
+    format_report,
+)
 
-GOLDEN_TABLE = Path(__file__).parent / "data" / "table_n3.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN_TABLE = DATA / "table_n3.txt"
+# argv of each report whose output in every format is pinned in DATA as
+# <name>.<format>
+GOLDEN_REPORTS = {
+    "verify_n6_c4": ("verify", "--max-n", "6", "--roundtrip-cutoff", "4"),
+    "refined_n3_2222": (
+        "refined", "--max-n", "3", "--max-r", "2", "--max-l", "2", "--max-p", "2", "--max-q", "2",
+    ),
+}
+BROKEN_VERIFY = VerifyReport(
+    max_n=1,
+    roundtrip_cutoff=12,
+    records=(
+        VerifyRecord(n=1, s_count=2, t_count=3, series_count=2, round_trip_checked=0, ok=False),
+    ),
+    ok=False,
+    witness="n=1: s=2 t=3 series=2",
+)
+BROKEN_REFINED = RefinedReport(
+    max_n=1,
+    max_r=1,
+    max_l=1,
+    max_p=1,
+    max_q=2,
+    records=(
+        RefinedRecord(1, 1, 1, 1, 1, 0, 2, 0, literal_match=False, transported_match=True),
+        RefinedRecord(1, 1, 1, 1, 2, 0, 2, 1, literal_match=False, transported_match=False),
+    ),
+    ok=False,
+)
 
 
 def run_cli(capsys, *argv):
@@ -81,21 +117,40 @@ def test_verify_rejects_bad_bounds(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    broken = VerifyReport(
-        max_n=1,
-        roundtrip_cutoff=12,
-        records=(
-            VerifyRecord(
-                n=1, s_count=2, t_count=3, series_count=2, round_trip_checked=0, ok=False
-            ),
-        ),
-        ok=False,
-        witness="n=1: s=2 t=3 series=2",
-    )
-    monkeypatch.setattr("schmidt.harness.verify_report", lambda *a, **k: broken)
+    monkeypatch.setattr("schmidt.harness.verify_report", lambda *a, **k: BROKEN_VERIFY)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
     assert code == 1
     assert "FAIL: n=1" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "command,broken,summary",
+    [
+        ("verify", BROKEN_VERIFY, "FAIL: n=1: s=2 t=3 series=2"),
+        ("refined", BROKEN_REFINED, "FAIL: n=1 r=1 l=1 p=1 q=2 t_refined=0 transported=1"),
+    ],
+)
+def test_report_failure_exits_1_with_summary(capsys, monkeypatch, command, broken, summary, fmt):
+    # text ends with the summary; csv and json give it on stderr instead
+    monkeypatch.setattr(f"schmidt.harness.{command}_report", lambda *a, **k: broken)
+    code, out, err = run_cli(capsys, command, "--max-n", "1", "--format", fmt)
+    assert code == 1
+    assert out == format_report(broken, fmt) + "\n"
+    if fmt == "text":
+        assert out.splitlines()[-1] == summary
+        assert err == ""
+    else:
+        assert summary not in out
+        assert err == summary + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden(capsys, name, fmt):
+    code, out, err = run_cli(capsys, *GOLDEN_REPORTS[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}.{fmt}").read_text()
 
 
 def test_verify_csv_deterministic(capsys):

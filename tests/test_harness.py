@@ -1,18 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from schmidt.harness import (
-    refined_csv,
-    refined_json,
+    FORMATS,
+    format_report,
     refined_report,
-    refined_text,
     table_pairs,
     table_text,
-    verify_csv,
-    verify_json,
     verify_report,
-    verify_text,
 )
 from schmidt.partitions import (
     RefinedQuery,
@@ -53,12 +50,12 @@ def test_verify_report_rejects_bad_bounds():
 
 def test_verify_renderings():
     report = verify_report(2)
-    assert verify_text(report).splitlines()[0] == "n=1 s=2 t=2 series=2 roundtrips=4 ok"
-    assert verify_text(report).splitlines()[-1].startswith("PASS")
-    csv = verify_csv(report).splitlines()
+    assert format_report(report, "text").splitlines()[0] == "n=1 s=2 t=2 series=2 roundtrips=4 ok"
+    assert format_report(report, "text").splitlines()[-1].startswith("PASS")
+    csv = format_report(report, "csv").splitlines()
     assert csv[0] == "n,s,t,series,pass"
     assert csv[1] == "1,2,2,2,true"
-    data = json.loads(verify_json(report))
+    data = json.loads(format_report(report, "json"))
     assert list(data) == ["max_n", "roundtrip_cutoff", "pass", "witness", "records"]
     assert data["pass"] is True
     assert data["records"][0] == {
@@ -101,16 +98,16 @@ def test_refined_report_counts_match_the_cell_enumerators():
 
 def test_refined_renderings():
     report = refined_report(2, 1, 1, 1, 1)
-    lines = refined_csv(report).splitlines()
+    lines = format_report(report, "csv").splitlines()
     assert lines[0] == "n,r,l,p,q,t_refined,s_literal,transported,literal_match"
     assert "2,1,1,1,1,1,3,1,false" in lines
-    text = refined_text(report).splitlines()
+    text = format_report(report, "text").splitlines()
     assert "t_refined=1 s_literal=3 transported=1" in text[1]
     assert text[-2:] == [
         "cells=2 transported_match=2 literal_match=0",
         "PASS: transported counts agree",
     ]
-    data = json.loads(refined_json(report))
+    data = json.loads(format_report(report, "json"))
     assert list(data) == ["max_n", "max_r", "max_l", "max_p", "max_q", "pass", "records"]
     assert list(data["records"][0]) == [
         "n", "r", "l", "p", "q", "t_refined", "s_literal",
@@ -124,5 +121,27 @@ def test_reports_are_reproducible():
     first = refined_report(4, 2, 2, 2, 2)
     second = refined_report(4, 2, 2, 2, 2)
     assert first == second
-    assert refined_csv(first) == refined_csv(second)
-    assert verify_csv(verify_report(5)) == verify_csv(verify_report(5))
+    assert format_report(first, "csv") == format_report(second, "csv")
+    assert format_report(verify_report(5), "csv") == format_report(verify_report(5), "csv")
+
+
+def test_format_report_formats():
+    report = verify_report(2)
+    assert FORMATS == ("text", "csv", "json")
+    assert [format_report(report, fmt) != "" for fmt in FORMATS] == [True] * 3
+    assert format_report(report, "text").splitlines()[-1] == report.summary
+    with pytest.raises(ValueError):
+        format_report(report, "xml")
+
+
+def test_refined_failure_summary_names_the_first_failing_cell():
+    report = refined_report(2, 1, 1, 1, 1)
+    first, second = report.records
+    broken = dataclasses.replace(
+        report,
+        ok=False,
+        records=(first, dataclasses.replace(second, transported_count=2, transported_match=False)),
+    )
+    assert broken.summary == "FAIL: n=2 r=1 l=1 p=1 q=1 t_refined=1 transported=2"
+    assert format_report(broken, "text").splitlines()[-1] == broken.summary
+    assert report.summary == "PASS: transported counts agree"

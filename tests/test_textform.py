@@ -75,3 +75,22 @@ def test_structured_form_rejects():
         two_color_from_dict({"red": [1], "blue": [2]})
     with pytest.raises(PartitionSyntaxError):
         two_color_from_dict({"red": [1, 2]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"red": [2.5]},
+        {"red": [True]},
+        {"red": "12"},
+        {"red": None},
+        {"green": (1, 1.0)},
+        [],
+        None,
+        "red",
+        [("red", [1])],
+    ],
+)
+def test_structured_form_rejects_malformed_data(data):
+    with pytest.raises(PartitionSyntaxError):
+        two_color_from_dict(data)
