@@ -18,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .partitions import Parts, TwoColorPartition, as_partition, conjugate
+from .partitions import Parts, TwoColorPartition, _unchecked, as_partition, conjugate
 
 
 class NotInImageError(ValueError):
@@ -79,21 +79,30 @@ class DistinctPair:
 
 
 def pad_colors(two_color: TwoColorPartition) -> PaddedPair:
-    """Extend the shorter color with zeros to length max(r, l)."""
+    """Extend the shorter color with zeros to length max(r, l).
+
+    Needs no check: both colors are partitions, so zeros appended to them
+    keep them weakly decreasing and nonnegative, and the longer one stays
+    zero-free.
+    """
     m = max(two_color.num_red, two_color.num_green)
     if m == 0:
         raise ValueError("cannot pad the empty two-color partition")
     red = two_color.red + (0,) * (m - two_color.num_red)
     green = two_color.green + (0,) * (m - two_color.num_green)
-    return PaddedPair(red, green)
+    return _unchecked(PaddedPair, red, green)
 
 
 def add_staircase(padded: PaddedPair) -> DistinctPair:
-    """Add m-1, m-2, ..., 1, 0 to both sequences, forcing distinct parts."""
+    """Add m-1, m-2, ..., 1, 0 to both sequences, forcing distinct parts.
+
+    Needs no check: a strictly decreasing staircase added to a weakly
+    decreasing nonnegative sequence is strictly decreasing and nonnegative.
+    """
     stairs = range(padded.m - 1, -1, -1)
     arms = list(map(operator.add, padded.red, stairs))
     legs = list(map(operator.add, padded.green, stairs))
-    return DistinctPair(arms, legs)
+    return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
 def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
@@ -115,7 +124,7 @@ def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
     if max(len(red), len(green)) != m:
         raise NotInImageError(f"padded length {m} does not match max(r, l): {pair!r}")
     case = "r<=l" if len(red) <= len(green) else "r>l"
-    return TwoColorPartition(red, green), case
+    return _unchecked(TwoColorPartition, tuple(red), tuple(green)), case
 
 
 def wright_build(pair: DistinctPair) -> Parts:
@@ -147,7 +156,12 @@ def durfee_square(shape: Parts) -> int:
 
 
 def wright_split(shape: Parts) -> DistinctPair:
-    """Read arms and legs off the diagonal of a nonempty diagram."""
+    """Read arms and legs off the diagonal of a nonempty diagram.
+
+    Needs no check once `conjugate` has checked the shape: row j and
+    column j of a partition reach at least j inside its Durfee square and
+    do not grow with j, so arms and legs strictly decrease from >= 0.
+    """
     shape = tuple(shape)
     cols = conjugate(shape)  # validates the shape
     if not cols:
@@ -155,7 +169,7 @@ def wright_split(shape: Parts) -> DistinctPair:
     m = durfee_square(shape)
     arms = list(map(operator.sub, shape[:m], range(1, m + 1)))
     legs = list(map(operator.sub, cols[:m], range(1, m + 1)))
-    return DistinctPair(arms, legs)
+    return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
 def hook_decompose(shape: Parts) -> tuple[int, ...]:
@@ -221,7 +235,7 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
     reach.reverse()
     legs = list(map(operator.sub, reach, itertools.repeat(1)))
     arms = list(map(operator.sub, cells, reach))
-    return wright_build(DistinctPair(arms, legs))
+    return wright_build(_unchecked(DistinctPair, tuple(arms), tuple(legs)))
 
 
 def hooks_to_schmidt(hooks: tuple[int, ...]) -> Parts:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
 from .partitions import (
@@ -121,9 +122,9 @@ class RefinedReport:
         ]
 
     def _csv_rows(self) -> list[str]:
-        return ["n,r,l,p,q,t_refined,s_literal,transported,literal_match"] + [
+        return ["n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match"] + [
             f"{r.n},{r.r},{r.l},{r.p},{r.q},{r.t_refined},{r.s_literal},"
-            f"{r.transported_count},{_bool(r.literal_match)}"
+            f"{r.transported_count},{_bool(r.literal_match)},{_bool(r.transported_match)}"
             for r in self.records
         ]
 
@@ -148,11 +149,35 @@ def table_text(n: int) -> str:
     return "\n".join(lines)
 
 
+def _round_trips(
+    n: int,
+    objects: list,
+    there: Callable,
+    back: Callable,
+    holds: Callable[..., bool],
+    show: Callable[..., str],
+) -> tuple[int, str | None]:
+    # Map each object there and back, stopping at the first whose image
+    # fails ``holds`` or does not map back to it, or whose maps raise.
+    # Returns the objects checked and a witness for that first one.
+    for checked, obj in enumerate(objects, 1):
+        try:
+            image = there(obj)
+            if holds(image) and back(image) == obj:
+                continue
+            what = "failed"
+        except Exception as exc:  # a raising map is a witness, not a crash
+            what = f"raised {type(exc).__name__}: {exc}"
+        return checked, f"n={n}: round trip {what} at {show(obj)}"
+    return len(objects), None
+
+
 def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     """Compare both counts with the series and exercise the round trips.
 
     Round trips run exhaustively in both directions for each n up to the
-    cutoff; above it only the three counts are compared.
+    cutoff; above it only the three counts are compared.  A map that
+    raises fails its round trip, and the witness names the exception.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -173,24 +198,27 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
                 f" series={coefficients[n]}"
             )
         if n <= roundtrip_cutoff:
-            for tc in two_color_side:
-                image = two_color_to_schmidt(tc)
-                checked += 1
-                if alternating_sum(image) != n or schmidt_to_two_color(image) != tc:
-                    ok = False
-                    witness = witness or (
-                        f"n={n}: round trip failed at {format_two_color(tc)}"
-                    )
-                    break
-            for partition in schmidt_side:
-                preimage = schmidt_to_two_color(partition)
-                checked += 1
-                if two_color_to_schmidt(preimage) != partition:
-                    ok = False
-                    witness = witness or (
-                        f"n={n}: round trip failed at {format_partition(partition)}"
-                    )
-                    break
+            checked, failure = _round_trips(
+                n,
+                two_color_side,
+                two_color_to_schmidt,
+                schmidt_to_two_color,
+                lambda image: alternating_sum(image) == n,
+                format_two_color,
+            )
+            back_checked, back_failure = _round_trips(
+                n,
+                schmidt_side,
+                schmidt_to_two_color,
+                two_color_to_schmidt,
+                lambda preimage: preimage.weight == n,
+                format_partition,
+            )
+            checked += back_checked
+            failure = failure or back_failure
+            if failure:
+                ok = False
+                witness = witness or failure
         records.append(
             VerifyRecord(
                 n=n,

@@ -36,6 +36,19 @@ def as_partition(parts: Iterable[int]) -> Parts:
     return p
 
 
+def _unchecked(cls, a, b):
+    """Build a two-field frozen dataclass ``cls(a, b)`` without its checks.
+
+    Only for values a step has proved valid; give each field as an exact
+    ``tuple``.  The public constructors keep every check for outside input.
+    """
+    value = object.__new__(cls)
+    first, second = cls.__match_args__
+    object.__setattr__(value, first, a)
+    object.__setattr__(value, second, b)
+    return value
+
+
 def alternating_sum(p: Parts) -> int:
     """Sum of the parts in odd positions (first, third, fifth, ...)."""
     return sum(p[::2])
@@ -165,8 +178,11 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     out = []
     for red_weight in range(n, -1, -1):
         greens = list(partitions_of(n - red_weight))
+        # partitions_of yields positive weakly decreasing tuples
         out += [
-            TwoColorPartition(red, green) for red in partitions_of(red_weight) for green in greens
+            _unchecked(TwoColorPartition, red, green)
+            for red in partitions_of(red_weight)
+            for green in greens
         ]
     out.sort(key=TwoColorPartition.sort_key)
     return out
@@ -211,7 +227,8 @@ def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
     for red_weight in range(max(r, n - l * q), min(r * p, n - l) + 1):
         reds = _decreasing(red_weight, r, 1, p)
         greens = _decreasing(n - red_weight, l, 1, q)
-        out += [TwoColorPartition(red, green) for red in reds for green in greens]
+        # _decreasing with low = 1 gives positive weakly decreasing tuples
+        out += [_unchecked(TwoColorPartition, red, green) for red in reds for green in greens]
     out.sort(key=TwoColorPartition.sort_key)
     return out
 

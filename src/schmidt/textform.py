@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .partitions import Parts, TwoColorPartition, as_partition
+from .partitions import Parts, TwoColorPartition, _unchecked, as_partition
 
 _COLORED_PART = re.compile(r"(\d+)([rg])\Z")
 
@@ -45,7 +45,7 @@ def format_partition(p: Parts) -> str:
 def parse_two_color(text: str) -> TwoColorPartition:
     """Parse the colored grammar into a two-color partition."""
     if text == "0":
-        return TwoColorPartition((), ())
+        return _unchecked(TwoColorPartition, (), ())
     red, green = [], []
     for token in text.split("+"):
         match = _COLORED_PART.match(token)
@@ -55,8 +55,9 @@ def parse_two_color(text: str) -> TwoColorPartition:
         if size < 1:
             raise PartitionSyntaxError(f"colored parts must be positive: {token!r}")
         (red if match.group(2) == "r" else green).append(size)
-    return TwoColorPartition(
-        tuple(sorted(red, reverse=True)), tuple(sorted(green, reverse=True))
+    # every size is positive, and sorting makes each color a partition
+    return _unchecked(
+        TwoColorPartition, tuple(sorted(red, reverse=True)), tuple(sorted(green, reverse=True))
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import schmidt.cli
+import schmidt.harness
 from schmidt.cli import build_parser, main
 from schmidt.harness import (
     RefinedRecord,
@@ -14,6 +15,7 @@ from schmidt.harness import (
     VerifyReport,
     format_report,
 )
+from schmidt.partitions import TwoColorPartition
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLE = DATA / "table_n3.txt"
@@ -123,6 +125,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL: n=1" in out
 
 
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_verify_reports_a_raising_map_as_a_witness(capsys, monkeypatch, error):
+    # a map that raises is a mismatch (exit 1) with a witness, not a usage
+    # error (exit 2) or a traceback
+    forward = schmidt.harness.two_color_to_schmidt
+
+    def raising(tc):
+        if tc == TwoColorPartition((2,), (1,)):
+            raise error("boom")
+        return forward(tc)
+
+    monkeypatch.setattr(schmidt.harness, "two_color_to_schmidt", raising)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "4", "--roundtrip-cutoff", "4")
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert fails == [f"FAIL: n=3: round trip raised {error.__name__}: boom at 2r+1g"]
+    assert out.splitlines()[2].endswith(" MISMATCH")
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "command,broken,summary",
@@ -169,9 +191,9 @@ def test_refined_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == [
-        "n,r,l,p,q,t_refined,s_literal,transported,literal_match",
-        "1,1,1,1,1,0,2,0,false",
-        "2,1,1,1,1,1,3,1,false",
+        "n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match",
+        "1,1,1,1,1,0,2,0,false,true",
+        "2,1,1,1,1,1,3,1,false,true",
     ]
 
 

@@ -99,8 +99,8 @@ def test_refined_report_counts_match_the_cell_enumerators():
 def test_refined_renderings():
     report = refined_report(2, 1, 1, 1, 1)
     lines = format_report(report, "csv").splitlines()
-    assert lines[0] == "n,r,l,p,q,t_refined,s_literal,transported,literal_match"
-    assert "2,1,1,1,1,1,3,1,false" in lines
+    assert lines[0] == "n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match"
+    assert "2,1,1,1,1,1,3,1,false,true" in lines
     text = format_report(report, "text").splitlines()
     assert "t_refined=1 s_literal=3 transported=1" in text[1]
     assert text[-2:] == [
