@@ -96,12 +96,15 @@ class RefinedReport:
     max_q: int
     ok: bool
     records: tuple[RefinedRecord, ...]
+    witness: str | None = None
 
     @property
     def summary(self) -> str:
         if self.ok:
             return "PASS: transported counts agree"
-        # ok is false only when some record's transported count differs
+        if self.witness:
+            return f"FAIL: {self.witness}"
+        # with no witness, ok is false only when some transported count differs
         r = next(r for r in self.records if not r.transported_match)
         cell = f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
         return f"FAIL: {cell} t_refined={r.t_refined} transported={r.transported_count}"
@@ -262,16 +265,25 @@ def refined_report(
     match the bounds.  Only transported_match feeds the pass flag, the
     literal column is recorded as data.  Each weight's two-color
     partitions and preimages are tallied once, and each literal vector
-    set, which depends only on (max(r, l), p+q), is counted once.
+    set, which depends only on (max(r, l), p+q), is counted once.  An
+    inverse map that raises fails the report, and the witness names the
+    first partition it raised at; that partition is left out of the tally.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
     records = []
+    witness = None
     for n in range(1, max_n + 1):
         direct = Counter(_stats(tc) for tc in enumerate_two_color(n))
-        transported = Counter(
-            _stats(schmidt_to_two_color(partition)) for partition in enumerate_schmidt(n)
-        )
+        transported: Counter = Counter()
+        for partition in enumerate_schmidt(n):
+            try:
+                transported[_stats(schmidt_to_two_color(partition))] += 1
+            except Exception as exc:  # a raising map is a witness, not a crash
+                witness = witness or (
+                    f"n={n}: inverse map raised {type(exc).__name__}: {exc}"
+                    f" at {format_partition(partition)}"
+                )
         literal: dict[tuple[int, int], int] = {}
         for r in range(1, max_r + 1):
             for l in range(1, max_l + 1):
@@ -305,7 +317,8 @@ def refined_report(
         max_p=max_p,
         max_q=max_q,
         records=tuple(records),
-        ok=all(r.transported_match for r in records),
+        ok=witness is None and all(r.transported_match for r in records),
+        witness=witness,
     )
 
 

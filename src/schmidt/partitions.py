@@ -91,39 +91,39 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
             yield (first,) + rest
 
 
-def _schmidt_suffixes(remaining: int, bound: int) -> Iterator[Parts]:
-    # Weakly decreasing positive tuples with first part <= bound whose
-    # odd-position parts sum to ``remaining``.  Tuples are built from a
-    # leading block (odd-position part, optional even-position part), so
-    # each one is produced exactly once and termination is structural.
-    # They come out in descending lexicographic order: each block is tried
-    # from largest to smallest, and the lone ``(head,)``, a prefix of every
-    # ``(head, even)`` and so smaller, is yielded after them.
-    if remaining == 0:
-        yield ()
-        return
-    for head in range(min(remaining, bound), 0, -1):
-        rest = remaining - head
-        if rest == 0:
-            for even in range(head, 0, -1):
-                yield (head, even)
-            yield (head,)
-        else:
-            for even in range(head, 0, -1):
-                for suffix in _schmidt_suffixes(rest, even):
-                    yield (head, even) + suffix
+def _interleave(heads: Parts, last: int) -> list:
+    # itertools.product factors (h1,), range(h1, h2 - 1, -1), (h2,), ...,
+    # (hk,), range(hk, last - 1, -1): each even-position part runs from the
+    # head before it down to the head after it, or to ``last`` after hk.
+    factors = []
+    for head, after in zip(heads, heads[1:] + (last,)):
+        factors += [(head,), range(head, after - 1, -1)]
+    return factors
 
 
 def enumerate_schmidt(n: int) -> list[Parts]:
     """All partitions with alternating sum ``n``, descending lexicographic.
 
-    Any such partition has first part at most n, at most 2n parts, and
-    total weight at most 2n, since every even-position part is bounded by
-    the odd-position part before it.
+    The odd-position parts (the heads) h1 >= ... >= hk of such a partition
+    are a partition of n, and each even-position part lies between the head
+    before it and the head after it.  So for each partition of n as heads,
+    the partitions of even length are one product of ranges, the last even
+    part running from hk down to 1, and those of odd length are the same
+    product without that last factor.  Every partition of alternating sum n
+    is in exactly one product, once, since it fixes its heads and its even
+    parts; the products are merged by one sort at the end.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_schmidt_suffixes(n, n))
+    if n == 0:
+        return [()]
+    out = []
+    for heads in partitions_of(n):
+        factors = _interleave(heads, 1)
+        out += itertools.product(*factors[:-1])
+        out += itertools.product(*factors)
+    out.sort(reverse=True)
+    return out
 
 
 def count_schmidt(n: int) -> int:
@@ -189,8 +189,15 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
 
 
 def count_two_color(n: int) -> int:
-    """Number of two-color partitions of weight ``n``."""
-    return len(enumerate_two_color(n))
+    """Number of two-color partitions of weight ``n``.
+
+    Counts the pairs, p(k) * p(n - k) of them for red weight k, without
+    building them; each p(k) is counted from `partitions_of`.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    counts = [sum(1 for _ in partitions_of(k)) for k in range(n + 1)]
+    return sum(map(operator.mul, counts, reversed(counts)))
 
 
 @dataclass(frozen=True)
@@ -251,17 +258,13 @@ def _decreasing(total: int, count: int, low: int, high: int) -> list[tuple[int, 
 def _bounded_vectors(length: int, cap: int, target: int) -> list[tuple[int, ...]]:
     # Weakly decreasing vectors of even length, entries in [0, cap], whose
     # odd-position (0-based even index) entries sum to ``target``.  Those
-    # entries are a decreasing tuple of heads; each even-position entry then
-    # ranges on its own from the head before it down to the head after it
-    # (to 0 for the last), so each tuple's vectors are one product, built in
-    # C.  Products of different heads interleave in lexicographic order, so
-    # the whole list is sorted once at the end.
+    # entries are a decreasing tuple of heads, and each tuple's vectors are
+    # one product of _interleave's ranges (to 0 for the last), built in C.
+    # Products of different heads interleave in lexicographic order, so the
+    # whole list is sorted once at the end.
     out = []
     for heads in _decreasing(target, length // 2, 0, cap):
-        factors = []
-        for head, after in zip(heads, heads[1:] + (0,)):
-            factors += [(head,), range(head, after - 1, -1)]
-        out += itertools.product(*factors)
+        out += itertools.product(*_interleave(heads, 0))
     out.sort(reverse=True)
     return out
 

@@ -49,8 +49,8 @@ def test_criterion_2_count_identity_to_20(capsys):
     coefficients = two_color_coefficients(20)
     ok = count_schmidt(3) == 10
     for n in range(1, 21):
-        s, t = count_schmidt(n), count_two_color(n)
-        ok = ok and s == t == coefficients[n]
+        s, t = count_schmidt(n), len(enumerate_two_color(n))
+        ok = ok and s == t == count_two_color(n) == coefficients[n]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     with capsys.disabled():

@@ -145,6 +145,25 @@ def test_verify_reports_a_raising_map_as_a_witness(capsys, monkeypatch, error):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_refined_reports_a_raising_map_as_a_witness(capsys, monkeypatch, error):
+    # a raising inverse map inside the grid is a mismatch (exit 1) with a
+    # witness, not a usage error (exit 2) or a traceback
+    backward = schmidt.harness.schmidt_to_two_color
+
+    def raising(partition):
+        if partition == (2, 1):
+            raise error("boom")
+        return backward(partition)
+
+    monkeypatch.setattr(schmidt.harness, "schmidt_to_two_color", raising)
+    code, out, err = run_cli(capsys, *GOLDEN_REPORTS["refined_n3_2222"])
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert fails == [f"FAIL: n=2: inverse map raised {error.__name__}: boom at 2+1"]
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "command,broken,summary",

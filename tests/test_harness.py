@@ -108,13 +108,16 @@ def test_refined_renderings():
         "PASS: transported counts agree",
     ]
     data = json.loads(format_report(report, "json"))
-    assert list(data) == ["max_n", "max_r", "max_l", "max_p", "max_q", "pass", "records"]
+    assert list(data) == [
+        "max_n", "max_r", "max_l", "max_p", "max_q", "pass", "records", "witness",
+    ]
     assert list(data["records"][0]) == [
         "n", "r", "l", "p", "q", "t_refined", "s_literal",
         "transported_count", "literal_match", "transported_match",
     ]
     assert data["pass"] is True
     assert data["records"][-1]["transported_match"] is True
+    assert data["witness"] is None
 
 
 def test_reports_are_reproducible():
