@@ -4,8 +4,8 @@ A Schmidt partition of n is an ordinary partition whose first, third,
 fifth, ... parts sum to n.  This package enumerates both families,
 implements a weight-preserving bijection between them with every
 intermediate construction step exposed, backs the counts with an exact
-truncated-power-series oracle, and ships a command-line harness that
-verifies the count identity and its four-parameter refinement.
+power-series oracle, and ships a command-line harness that verifies the
+count identity and its four-parameter refinement.
 """
 
 from .bijection import (
@@ -41,7 +41,7 @@ from .partitions import (
     enumerate_two_color_refined,
     partitions_of,
 )
-from .series import TruncatedSeries, series_mul, series_one, series_recip, two_color_coefficients
+from .series import two_color_coefficients
 from .textform import (
     PartitionSyntaxError,
     format_partition,
@@ -61,7 +61,6 @@ __all__ = [
     "Parts",
     "PartitionSyntaxError",
     "RefinedQuery",
-    "TruncatedSeries",
     "TwoColorPartition",
     "add_staircase",
     "alternating_sum",
@@ -87,9 +86,6 @@ __all__ = [
     "render_two_modular",
     "schmidt_to_hooks",
     "schmidt_to_two_color",
-    "series_mul",
-    "series_one",
-    "series_recip",
     "two_color_coefficients",
     "two_color_from_dict",
     "two_color_to_dict",

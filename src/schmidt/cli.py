@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
-on success, 1 on a verification failure, 2 on usage or parse errors.
+on success, 1 on a verification failure, 2 on usage or parse errors and
+on a number too large to process.
 The argument parser is built once per process, on the first call of
 `build_parser`, and every later `main` call reuses it.
 """
@@ -149,8 +150,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # parse errors and the library's bound checks
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OverflowError as exc:  # a number too large for a size or an index
+        message = f"number too large to process: {exc}"
+    except MemoryError:
+        message = "input too large to process: out of memory"
+    # printed once the handler has ended, so the failed work is freed first
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -255,20 +255,6 @@ def _decreasing(total: int, count: int, low: int, high: int) -> list[tuple[int, 
     return out
 
 
-def _bounded_vectors(length: int, cap: int, target: int) -> list[tuple[int, ...]]:
-    # Weakly decreasing vectors of even length, entries in [0, cap], whose
-    # odd-position (0-based even index) entries sum to ``target``.  Those
-    # entries are a decreasing tuple of heads, and each tuple's vectors are
-    # one product of _interleave's ranges (to 0 for the last), built in C.
-    # Products of different heads interleave in lexicographic order, so the
-    # whole list is sorted once at the end.
-    out = []
-    for heads in _decreasing(target, length // 2, 0, cap):
-        out += itertools.product(*_interleave(heads, 0))
-    out.sort(reverse=True)
-    return out
-
-
 def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ...]]:
     """Fixed-length weakly decreasing vectors with bounded entries.
 
@@ -277,4 +263,13 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     zeros are significant, so vectors that would trim to the same
     partition are distinct members.
     """
-    return _bounded_vectors(2 * max(query.r, query.l), query.p + query.q, query.n)
+    # The odd-position (0-based even index) entries are a decreasing tuple
+    # of heads, and each tuple's vectors are one product of _interleave's
+    # ranges (to 0 for the last), built in C.  Products of different heads
+    # interleave in lexicographic order, so the whole list is sorted once
+    # at the end.
+    out = []
+    for heads in _decreasing(query.n, max(query.r, query.l), 0, query.p + query.q):
+        out += itertools.product(*_interleave(heads, 0))
+    out.sort(reverse=True)
+    return out

@@ -278,6 +278,46 @@ def test_module_entry_point():
     assert proc.stdout == "3+2\n"
 
 
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("map", HUGE + "g"), ("unmap", HUGE), ("render", HUGE + "r"), ("verify", "--max-n", HUGE)],
+)
+def test_number_too_large_is_a_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "schmidt", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert_usage_error(proc)
+    assert proc.stdout == ""
+
+
+def test_out_of_memory_is_a_usage_error():
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "schmidt", "map", "1000000000g"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    assert_usage_error(proc)
+
+
 def test_reused_parser_leaks_no_state(capsys):
     # main reuses one parser per process; each call must still behave as a
     # fresh process would, defaults and error exits included

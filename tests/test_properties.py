@@ -15,7 +15,6 @@ from schmidt.partitions import (
     alternating_sum,
     conjugate,
 )
-from schmidt.series import TruncatedSeries, series_mul, series_one, series_recip
 from schmidt.textform import (
     format_partition,
     format_two_color,
@@ -81,31 +80,3 @@ def test_statistic_transport(tc):
 @given(partitions.filter(bool))
 def test_wright_round_trip(shape):
     assert wright_build(wright_split(shape)) == shape
-
-
-series_values = st.lists(st.integers(-6, 6), min_size=1, max_size=9).map(
-    lambda xs: TruncatedSeries(tuple(xs))
-)
-
-
-@given(series_values, series_values)
-def test_series_mul_commutes(a, b):
-    order = min(a.order, b.order)
-    a = TruncatedSeries(a.coefficients[: order + 1])
-    b = TruncatedSeries(b.coefficients[: order + 1])
-    assert series_mul(a, b) == series_mul(b, a)
-
-
-@given(series_values, series_values, series_values)
-def test_series_mul_associates(a, b, c):
-    order = min(a.order, b.order, c.order)
-    a = TruncatedSeries(a.coefficients[: order + 1])
-    b = TruncatedSeries(b.coefficients[: order + 1])
-    c = TruncatedSeries(c.coefficients[: order + 1])
-    assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-
-
-@given(series_values, st.sampled_from((1, -1)))
-def test_series_recip_inverts(series, unit):
-    series = TruncatedSeries((unit,) + series.coefficients[1:])
-    assert series_mul(series, series_recip(series)) == series_one(series.order)
