@@ -40,6 +40,8 @@ from .partitions import (
     enumerate_two_color,
     enumerate_two_color_refined,
     partitions_of,
+    schmidt_counts,
+    two_color_counts,
 )
 from .series import two_color_coefficients
 from .textform import (
@@ -84,9 +86,11 @@ __all__ = [
     "partitions_of",
     "remove_staircase",
     "render_two_modular",
+    "schmidt_counts",
     "schmidt_to_hooks",
     "schmidt_to_two_color",
     "two_color_coefficients",
+    "two_color_counts",
     "two_color_from_dict",
     "two_color_to_dict",
     "two_color_to_schmidt",

@@ -1,7 +1,11 @@
 """Verification reports: count agreement, round trips, and refinements.
 
-Everything here is a pure function of its arguments, so reports are
-byte-for-byte reproducible.  `format_report` renders either report in
+`verify_report` reads its counts from three tables built without
+enumeration (the Schmidt-side DP, the convolution of partition numbers,
+and the series) and enumerates both sides only up to its round-trip
+cutoff; `refined_report` and `table_pairs` enumerate.  Everything here is
+a pure function of its arguments, so reports are byte-for-byte
+reproducible.  `format_report` renders either report in
 any of `FORMATS`: CSV and JSON for machine consumption, text for humans.
 """
 
@@ -21,6 +25,8 @@ from .partitions import (
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
+    schmidt_counts,
+    two_color_counts,
 )
 from .series import two_color_coefficients
 from .textform import format_partition, format_two_color
@@ -176,31 +182,38 @@ def _round_trips(
 
 
 def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
-    """Compare both counts with the series and exercise the round trips.
+    """Compare three independent counts and exercise the round trips.
 
-    Round trips run exhaustively in both directions for each n up to the
-    cutoff; above it only the three counts are compared.  A map that
-    raises fails its round trip, and the witness names the exception.
+    For each n the Schmidt count comes from `schmidt_counts`, the two-color
+    count from `two_color_counts` and the third from the series; each table
+    is built once, for every n up to max_n, without enumerating.  Only for
+    n up to the cutoff are both sides enumerated: each list's length is
+    checked against its count, and the round trips run exhaustively in
+    both directions.  A map that raises fails its round trip, and the
+    witness names the exception.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
     if roundtrip_cutoff < 0:
         raise ValueError("roundtrip_cutoff must be nonnegative")
-    coefficients = two_color_coefficients(max_n)
+    counts = zip(schmidt_counts(max_n), two_color_counts(max_n), two_color_coefficients(max_n))
+    next(counts)  # weight 0 has no record
     records = []
     witness = None
-    for n in range(1, max_n + 1):
-        schmidt_side = enumerate_schmidt(n)
-        two_color_side = enumerate_two_color(n)
+    for n, (s, t, series) in enumerate(counts, 1):
         checked = 0
-        ok = True
-        if len(schmidt_side) != len(two_color_side) or len(schmidt_side) != coefficients[n]:
-            ok = False
-            witness = witness or (
-                f"n={n}: s={len(schmidt_side)} t={len(two_color_side)}"
-                f" series={coefficients[n]}"
-            )
+        ok = s == t == series
+        if not ok:
+            witness = witness or f"n={n}: s={s} t={t} series={series}"
         if n <= roundtrip_cutoff:
+            schmidt_side = enumerate_schmidt(n)
+            two_color_side = enumerate_two_color(n)
+            if (len(schmidt_side), len(two_color_side)) != (s, t):
+                ok = False
+                witness = witness or (
+                    f"n={n}: enumerated s={len(schmidt_side)} t={len(two_color_side)},"
+                    f" counted s={s} t={t}"
+                )
             checked, failure = _round_trips(
                 n,
                 two_color_side,
@@ -225,9 +238,9 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
         records.append(
             VerifyRecord(
                 n=n,
-                s_count=len(schmidt_side),
-                t_count=len(two_color_side),
-                series_count=coefficients[n],
+                s_count=s,
+                t_count=t,
+                series_count=series,
                 round_trip_checked=checked,
                 ok=ok,
             )

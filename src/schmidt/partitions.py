@@ -5,7 +5,8 @@ alternating sum is the sum of the first, third, fifth, ... parts; a
 partition is called a Schmidt partition of n when that sum equals n.
 Two-color partitions are ordered pairs of partitions, thought of as one
 multiset of parts painted red or green.  Both families are enumerated
-exhaustively here, together with the bounded refinements of each count.
+exhaustively here, together with the bounded refinements of each count,
+and counted for every weight up to a bound without enumeration.
 """
 
 from __future__ import annotations
@@ -126,9 +127,43 @@ def enumerate_schmidt(n: int) -> list[Parts]:
     return out
 
 
+def schmidt_counts(max_n: int) -> tuple[int, ...]:
+    """Number of partitions with alternating sum n, for n = 0..max_n.
+
+    Counted by a DP over blocks of a head and the even part after it, not
+    by enumeration nor through the bijection.  Let F[r][b] count the ways
+    to finish a partition whose heads still to place sum to r and whose
+    later parts are all at most b.  Then F[0][b] = 1, and the next head h
+    <= min(r, b) either ends the partition (if h = r) or is followed by an
+    even part e <= h:
+
+        F[r][b] = sum over h = 1..min(r, b) of ([h = r] + P[r - h][h]),
+
+    where P[r][b] = F[r][1] + ... + F[r][b].  The count for n is F[n][n].
+    F[r][b] = F[r][r] for b >= r, so P[r] is stored cut at b = r and read
+    past it linearly: O(max_n**2) additions in all.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    # F[r][r], allocated whole so that a max_n too large to hold fails here
+    counts = [1] + [0] * max_n
+    prefix = [(0,)]  # P[r][0..r]
+    for r in range(1, max_n + 1):
+        # heads h = 1..r read the rows r - 1, ..., 0; row r - h stops at b = r - h
+        steps = [
+            row[h] if h < len(row) else row[-1] + (h - len(row) + 1) * counts[r - h]
+            for h, row in zip(range(1, r + 1), reversed(prefix))
+        ]
+        steps[-1] += 1  # the head h = r ends the partition
+        finish = list(itertools.accumulate(steps))  # F[r][1..r]
+        counts[r] = finish[-1]
+        prefix.append(tuple(itertools.accumulate(finish, initial=0)))
+    return tuple(counts)
+
+
 def count_schmidt(n: int) -> int:
     """Number of partitions with alternating sum ``n``."""
-    return len(enumerate_schmidt(n))
+    return schmidt_counts(n)[n]
 
 
 @dataclass(frozen=True)
@@ -188,16 +223,33 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     return out
 
 
-def count_two_color(n: int) -> int:
-    """Number of two-color partitions of weight ``n``.
+def two_color_counts(max_n: int) -> tuple[int, ...]:
+    """Number of two-color partitions of n, for n = 0..max_n.
 
-    Counts the pairs, p(k) * p(n - k) of them for red weight k, without
-    building them; each p(k) is counted from `partitions_of`.
+    A pair of weights k and n - k gives p(k) * p(n - k) pairs, so the counts
+    are the self-convolution of the partition numbers p, which come from
+    Euler's pentagonal recurrence
+
+        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    counts = [sum(1 for _ in partitions_of(k)) for k in range(n + 1)]
-    return sum(map(operator.mul, counts, reversed(counts)))
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    p = [1] + [0] * max_n  # allocated whole, as in schmidt_counts
+    for k in range(1, max_n + 1):
+        total = 0
+        for j in itertools.count(1):
+            pentagonal = j * (3 * j - 1) // 2
+            if pentagonal > k:
+                break
+            term = p[k - pentagonal] + (p[k - pentagonal - j] if pentagonal + j <= k else 0)
+            total += term if j % 2 else -term
+        p[k] = total
+    return tuple(sum(map(operator.mul, p[: n + 1], reversed(p[: n + 1]))) for n in range(max_n + 1))
+
+
+def count_two_color(n: int) -> int:
+    """Number of two-color partitions of weight ``n``."""
+    return two_color_counts(n)[n]
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,15 @@ def test_verify_text(capsys):
     assert lines[-1].startswith("PASS")
 
 
+def test_verify_counts_without_round_trips(capsys):
+    # the counts of every n up to 60 come from tables, not enumeration
+    code, out, err = run_cli(capsys, "verify", "--max-n", "60", "--roundtrip-cutoff", "0")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 61
+    assert lines[-1] == "PASS: counts agree and round trips hold (max_n=60, cutoff=0)"
+
+
 def test_verify_rejects_bad_bounds(capsys):
     assert run_cli(capsys, "verify", "--max-n", "0")[0] == 2
     assert run_cli(capsys, "verify", "--max-n", "3", "--roundtrip-cutoff", "-1")[0] == 2

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import schmidt.harness
 from schmidt.harness import (
     FORMATS,
     format_report,
@@ -13,9 +14,12 @@ from schmidt.harness import (
 )
 from schmidt.partitions import (
     RefinedQuery,
+    enumerate_schmidt,
     enumerate_schmidt_refined_literal,
+    enumerate_two_color,
     enumerate_two_color_refined,
 )
+from schmidt.series import two_color_coefficients
 
 
 def test_table_text():
@@ -39,6 +43,51 @@ def test_verify_report_cutoff():
     assert by_n[2].round_trip_checked == 10
     assert by_n[3].round_trip_checked == 0
     assert report.ok
+
+
+def test_verify_report_enumerates_only_up_to_the_cutoff(monkeypatch):
+    calls = {"schmidt": [], "two_color": []}
+
+    def recording(name, enumerate_side):
+        def enumerate_and_record(n):
+            calls[name].append(n)
+            return enumerate_side(n)
+
+        return enumerate_and_record
+
+    monkeypatch.setattr(schmidt.harness, "enumerate_schmidt", recording("schmidt", enumerate_schmidt))
+    monkeypatch.setattr(
+        schmidt.harness, "enumerate_two_color", recording("two_color", enumerate_two_color)
+    )
+    report = verify_report(30, 6)
+    assert report.ok
+    assert calls == {"schmidt": list(range(1, 7)), "two_color": list(range(1, 7))}
+    assert [r.round_trip_checked > 0 for r in report.records] == [True] * 6 + [False] * 24
+
+
+@pytest.mark.parametrize("side", ["enumerate_schmidt", "enumerate_two_color"])
+def test_verify_report_checks_the_enumerated_lengths(monkeypatch, side):
+    # an enumerator that loses one object of weight 3 is a mismatch at n=3,
+    # even though the objects it does list round-trip
+    enumerate_side = getattr(schmidt.harness, side)
+    monkeypatch.setattr(
+        schmidt.harness, side, lambda n: enumerate_side(n)[:-1] if n == 3 else enumerate_side(n)
+    )
+    report = verify_report(4, 4)
+    assert not report.ok
+    s, t = (9, 10) if side == "enumerate_schmidt" else (10, 9)
+    assert report.witness == f"n=3: enumerated s={s} t={t}, counted s=10 t=10"
+    assert [r.ok for r in report.records] == [True, True, False, True]
+    assert report.summary == f"FAIL: {report.witness}"
+
+
+def test_verify_report_counts_far_above_the_cutoff():
+    report = verify_report(200, 0)
+    assert report.ok and report.witness is None
+    last = report.records[-1]
+    assert last.n == 200
+    assert last.s_count == last.t_count == last.series_count == two_color_coefficients(200)[200]
+    assert all(r.round_trip_checked == 0 for r in report.records)
 
 
 def test_verify_report_rejects_bad_bounds():

@@ -17,9 +17,14 @@ from schmidt.partitions import (
     enumerate_two_color,
     enumerate_two_color_refined,
     partitions_of,
+    schmidt_counts,
+    two_color_counts,
 )
+from schmidt.series import two_color_coefficients
 from schmidt.textform import format_two_color
 
+# OEIS A000712, the two-color partition counts for n = 0..10
+A000712 = (1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481)
 # classical partition numbers p(0)..p(20)
 PARTITION_COUNTS = [
     1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
@@ -162,6 +167,35 @@ def test_count_equality_small():
     # the counter does not enumerate, so tie it to the enumerator
     for n in range(17):
         assert count_two_color(n) == len(enumerate_two_color(n))
+
+
+def test_schmidt_counts_match_the_enumerator():
+    # the DP never enumerates, so tie it to the enumerator up to 20
+    counts = schmidt_counts(20)
+    assert len(counts) == 21
+    for n in range(21):
+        assert counts[n] == len(enumerate_schmidt(n))
+
+
+def test_two_color_counts_match_the_enumerator():
+    counts = two_color_counts(16)
+    assert len(counts) == 17
+    for n in range(17):
+        assert counts[n] == len(enumerate_two_color(n))
+
+
+def test_count_tables_match_the_series_and_oeis():
+    series = two_color_coefficients(500)
+    assert schmidt_counts(500) == series
+    assert two_color_counts(500) == series
+    assert schmidt_counts(10) == two_color_counts(10) == A000712
+    assert schmidt_counts(0) == two_color_counts(0) == (1,)
+
+
+@pytest.mark.parametrize("table", [schmidt_counts, two_color_counts, count_schmidt, count_two_color])
+def test_counts_reject_negative(table):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        table(-1)
 
 
 def test_enumerate_two_color_edge_cases():
