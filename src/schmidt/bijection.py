@@ -1,7 +1,7 @@
 """A weight-preserving bijection between two-color partitions and
 partitions counted by their alternating sum.
 
-The forward map runs through four reversible steps: pad the two colors to
+The forward map runs through five reversible steps: pad the two colors to
 a common length, add a staircase so both sequences become strictly
 decreasing, assemble the pair into a Young diagram (a diagonal of cells
 with the first sequence as arms and the second as legs), decompose the
@@ -9,7 +9,8 @@ diagram's 2-modular filling into hooks cornered on the diagonal, and
 finally subtract a staircase from the interleaved hook counts.  Every
 step is exposed on its own so that each can be tested and inverted
 independently; the composites are `two_color_to_schmidt` and
-`schmidt_to_two_color`.
+`schmidt_to_two_color`.  `wright_build` and `wright_split` are the only
+writer and reader of the diagram.
 """
 
 from __future__ import annotations
@@ -105,15 +106,13 @@ def add_staircase(padded: PaddedPair) -> DistinctPair:
     return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
-def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
+def remove_staircase(pair: DistinctPair) -> TwoColorPartition:
     """Invert `add_staircase` followed by the zero padding.
 
-    Returns the recovered two-color partition together with the case tag
-    "r<=l" or "r>l".  Both sequences of a `DistinctPair` strictly decrease
-    and are nonnegative, so subtracting m-1, ..., 1, 0 always leaves
-    weakly decreasing nonnegative sequences, whose zeros all come last.
-    Raises NotInImageError when neither color then has exactly m nonzero
-    parts.
+    Both sequences of a `DistinctPair` strictly decrease and are
+    nonnegative, so subtracting m-1, ..., 1, 0 always leaves weakly
+    decreasing nonnegative sequences, whose zeros all come last.  Raises
+    NotInImageError when neither color then has exactly m nonzero parts.
     """
     m = pair.m
     stairs = range(m - 1, -1, -1)
@@ -123,8 +122,7 @@ def remove_staircase(pair: DistinctPair) -> tuple[TwoColorPartition, str]:
     green = green_padded[: m - green_padded.count(0)]
     if max(len(red), len(green)) != m:
         raise NotInImageError(f"padded length {m} does not match max(r, l): {pair!r}")
-    case = "r<=l" if len(red) <= len(green) else "r>l"
-    return _unchecked(TwoColorPartition, tuple(red), tuple(green)), case
+    return _unchecked(TwoColorPartition, tuple(red), tuple(green))
 
 
 def wright_build(pair: DistinctPair) -> Parts:
@@ -178,22 +176,18 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
     The filling writes 2 in every cell except a 1 in the last cell of each
     row.  Hook j consists of the diagonal cell (j, j), its arm, and its
     leg; the output lists (cells in hook 1, 2's in hook 1, cells in hook
-    2, 2's in hook 2, ...), which is strictly decreasing.
+    2, 2's in hook 2, ...), which is strictly decreasing.  With the arms
+    and legs that `wright_split` reads, hook j holds arms[j] + legs[j] + 1
+    cells and arms[j] + legs[j + 1] + 1 twos, where legs[m + 1] = -1: its
+    ones end row j and the legs[j] - legs[j + 1] - 1 rows of its leg that
+    column j + 1 does not reach.  These are the identities that
+    `hook_compose` inverts.
     """
-    shape = tuple(shape)
-    cols = conjugate(shape)  # validates the shape
-    if not cols:
-        raise ValueError("cannot decompose the empty shape")
-    m = durfee_square(shape)
-    legs = list(map(operator.sub, cols[:m], range(1, m + 1)))
-    # arm + leg + 1 = (shape[j] - j - 1) + legs[j] + 1
-    cells = list(map(operator.add, map(operator.sub, shape[:m], range(m)), legs))
-    # hook j holds legs[j] - legs[j + 1] ones (legs[m] = -1), the identity
-    # that hook_compose inverts
-    ones = map(operator.sub, legs, legs[1:] + [-1])
-    out = [0] * (2 * m)
-    out[0::2] = cells
-    out[1::2] = map(operator.sub, cells, ones)
+    pair = wright_split(shape)  # validates the shape
+    reach = list(map(operator.add, pair.arms, itertools.repeat(1)))
+    out = [0] * (2 * pair.m)
+    out[0::2] = map(operator.add, reach, pair.legs)
+    out[1::2] = map(operator.add, reach, pair.legs[1:] + (-1,))
     return tuple(out)
 
 
@@ -267,8 +261,7 @@ def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
     """Full forward map; the result's alternating sum equals the weight."""
     if two_color.weight == 0:
         return ()
-    pair = add_staircase(pad_colors(two_color))
-    return hooks_to_schmidt(hook_decompose(wright_build(pair)))
+    return hooks_to_schmidt(hook_decompose(wright_build(add_staircase(pad_colors(two_color)))))
 
 
 def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:
@@ -276,9 +269,7 @@ def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:
     p = tuple(partition)
     if not p:
         return TwoColorPartition((), ())
-    shape = hook_compose(schmidt_to_hooks(p))
-    two_color, _ = remove_staircase(wright_split(shape))
-    return two_color
+    return remove_staircase(wright_split(hook_compose(schmidt_to_hooks(p))))
 
 
 def render_two_modular(shape: Parts) -> str:

@@ -11,6 +11,7 @@ any of `FORMATS`: CSV and JSON for machine consumption, text for humans.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
@@ -284,6 +285,7 @@ def refined_report(
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
+    grid = list(itertools.product(*(range(1, b + 1) for b in (max_r, max_l, max_p, max_q))))
     records = []
     witness = None
     for n in range(1, max_n + 1):
@@ -298,31 +300,28 @@ def refined_report(
                     f" at {format_partition(partition)}"
                 )
         literal: dict[tuple[int, int], int] = {}
-        for r in range(1, max_r + 1):
-            for l in range(1, max_l + 1):
-                for p in range(1, max_p + 1):
-                    for q in range(1, max_q + 1):
-                        key = (max(r, l), p + q)
-                        if key not in literal:
-                            query = RefinedQuery(n=n, r=r, l=l, p=p, q=q)
-                            literal[key] = len(enumerate_schmidt_refined_literal(query))
-                        t_refined = _cell_count(direct, r, l, p, q)
-                        s_literal = literal[key]
-                        transported_count = _cell_count(transported, r, l, p, q)
-                        records.append(
-                            RefinedRecord(
-                                n=n,
-                                r=r,
-                                l=l,
-                                p=p,
-                                q=q,
-                                t_refined=t_refined,
-                                s_literal=s_literal,
-                                transported_count=transported_count,
-                                literal_match=s_literal == t_refined,
-                                transported_match=transported_count == t_refined,
-                            )
-                        )
+        for r, l, p, q in grid:
+            key = (max(r, l), p + q)
+            if key not in literal:
+                query = RefinedQuery(n=n, r=r, l=l, p=p, q=q)
+                literal[key] = len(enumerate_schmidt_refined_literal(query))
+            t_refined = _cell_count(direct, r, l, p, q)
+            s_literal = literal[key]
+            transported_count = _cell_count(transported, r, l, p, q)
+            records.append(
+                RefinedRecord(
+                    n=n,
+                    r=r,
+                    l=l,
+                    p=p,
+                    q=q,
+                    t_refined=t_refined,
+                    s_literal=s_literal,
+                    transported_count=transported_count,
+                    literal_match=s_literal == t_refined,
+                    transported_match=transported_count == t_refined,
+                )
+            )
     return RefinedReport(
         max_n=max_n,
         max_r=max_r,

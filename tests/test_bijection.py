@@ -3,7 +3,9 @@ import time
 import tracemalloc
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from schmidt.bijection import (
     DistinctPair,
@@ -110,6 +112,9 @@ def build_by_cells(arms, legs):
             NotInImageError,
             "hook counts must be strictly decreasing: (3, 3, 1, 0)",
         ),
+        (hook_decompose, ((),), ValueError, "cannot split the empty shape"),
+        (hook_decompose, ((1, 2),), ValueError, "parts must be weakly decreasing: (1, 2)"),
+        (hook_decompose, ((0,),), ValueError, "parts must be positive integers: (0,)"),
     ],
 )
 def test_checks_keep_their_messages(check, args, error, message):
@@ -197,16 +202,14 @@ def test_staircase_weight_shift():
 
 
 @pytest.mark.parametrize(
-    "arms,legs,red,green,case",
+    "arms,legs,red,green",
     [
-        ((3, 2, 0), (5, 3, 1), (1, 1), (3, 2, 1), "r<=l"),
-        ((3,), (0,), (3,), (), "r>l"),
+        ((3, 2, 0), (5, 3, 1), (1, 1), (3, 2, 1)),
+        ((3,), (0,), (3,), ()),
     ],
 )
-def test_remove_staircase(arms, legs, red, green, case):
-    tc, got_case = remove_staircase(DistinctPair(arms, legs))
-    assert tc == TwoColorPartition(red, green)
-    assert got_case == case
+def test_remove_staircase(arms, legs, red, green):
+    assert remove_staircase(DistinctPair(arms, legs)) == TwoColorPartition(red, green)
 
 
 def test_remove_staircase_not_in_image():
@@ -219,8 +222,7 @@ def test_staircase_round_trip():
         for tc in enumerate_two_color(n):
             if tc.weight == 0:
                 continue
-            recovered, _ = remove_staircase(add_staircase(pad_colors(tc)))
-            assert recovered == tc
+            assert remove_staircase(add_staircase(pad_colors(tc))) == tc
 
 
 # ----------------------------------------------------------------- wright
@@ -301,6 +303,12 @@ def test_hook_decompose_matches_cell_oracle():
     for n in range(1, 11):
         for shape in partitions_of(n):
             assert hook_decompose(shape) == hooks_by_cells(shape)
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+def test_hook_decompose_matches_cell_oracle_on_large_shapes(parts):
+    shape = tuple(sorted(parts, reverse=True))
+    assert hook_decompose(shape) == hooks_by_cells(shape)
 
 
 @pytest.mark.parametrize(

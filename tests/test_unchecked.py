@@ -76,8 +76,7 @@ def check_inverse_steps(partition, pairs):
     assert_as_checked(split)
     assert pairs == [split]
     assert_as_checked(pairs[0])
-    two_color, _ = remove_staircase(split)
-    assert_as_checked(two_color)
+    assert_as_checked(remove_staircase(split))
 
 
 @pytest.mark.parametrize("n", range(1, MAX_WEIGHT + 1))
