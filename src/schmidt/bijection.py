@@ -8,7 +8,8 @@ with the first sequence as arms and the second as legs), decompose the
 diagram's 2-modular filling into hooks cornered on the diagonal, and
 finally subtract a staircase from the interleaved hook counts.  Every
 step is exposed on its own so that each can be tested and inverted
-independently; the composites are `two_color_to_schmidt` and
+independently.  `trace_forward` is the one composition of the forward
+steps; the composites are `two_color_to_schmidt` and
 `schmidt_to_two_color`.  `wright_build` and `wright_split` are the only
 writer and reader of the diagram.
 """
@@ -257,11 +258,25 @@ def schmidt_to_hooks(partition: Parts) -> tuple[int, ...]:
     return tuple(list(map(operator.add, padded, range(length - 1, -1, -1))))
 
 
+def trace_forward(
+    two_color: TwoColorPartition,
+) -> tuple[PaddedPair, DistinctPair, Parts, tuple[int, ...], Parts]:
+    """Every intermediate of the forward map: padded, pair, shape, hooks, image.
+
+    Raises ValueError on the empty two-color partition, which has no padding.
+    """
+    padded = pad_colors(two_color)
+    pair = add_staircase(padded)
+    shape = wright_build(pair)
+    hooks = hook_decompose(shape)
+    return padded, pair, shape, hooks, hooks_to_schmidt(hooks)
+
+
 def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
     """Full forward map; the result's alternating sum equals the weight."""
     if two_color.weight == 0:
         return ()
-    return hooks_to_schmidt(hook_decompose(wright_build(add_staircase(pad_colors(two_color)))))
+    return trace_forward(two_color)[-1]
 
 
 def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:

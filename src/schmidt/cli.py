@@ -3,6 +3,8 @@
 Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
 on success, 1 on a verification failure, 2 on usage or parse errors and
 on a number too large to process.
+Every subcommand is a builder plus one of two handlers: ``build`` makes
+its text (`_cmd_text`) or its report (`_cmd_report`) from the arguments.
 The argument parser is built once per process, on the first call of
 `build_parser`, and every later `main` call reuses it.
 """
@@ -13,75 +15,26 @@ import argparse
 import sys
 
 from . import harness
-from .bijection import (
-    add_staircase,
-    hook_decompose,
-    hooks_to_schmidt,
-    pad_colors,
-    render_two_modular,
-    schmidt_to_two_color,
-    two_color_to_schmidt,
-    wright_build,
-)
-from .textform import (
-    format_partition,
-    format_two_color,
-    parse_partition,
-    parse_two_color,
-)
+from .bijection import schmidt_to_two_color, two_color_to_schmidt
+from .textform import format_partition, format_two_color, parse_partition, parse_two_color
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    image = two_color_to_schmidt(parse_two_color(args.colored))
-    print(format_partition(image))
-    return 0
-
-
-def _cmd_unmap(args: argparse.Namespace) -> int:
-    preimage = schmidt_to_two_color(parse_partition(args.partition))
-    print(format_two_color(preimage))
-    return 0
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    text = harness.table_text(args.n)
+# The builders look harness up when called, so a rebinding of it is seen.
+def _cmd_text(args: argparse.Namespace) -> int:
+    text = args.build(args)
     if text:
         print(text)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = args.build(args)  # looks harness up now, so a rebinding of it is seen
+    report = args.build(args)
     out = harness.format_report(report, args.format)
     print(out)
     # a failing report whose output does not end with its summary gives it on stderr
     if not report.ok and not out.endswith(report.summary):
         print(report.summary, file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _cmd_render(args: argparse.Namespace) -> int:
-    two_color = parse_two_color(args.colored)
-    lines = [
-        f"input: {args.colored}",
-        f"red: {format_partition(two_color.red)}",
-        f"green: {format_partition(two_color.green)}",
-    ]
-    if two_color.weight == 0:
-        lines.append("schmidt: 0")
-    else:
-        pair = add_staircase(pad_colors(two_color))
-        shape = wright_build(pair)
-        hooks = hook_decompose(shape)
-        lines.append(f"arms: {' '.join(str(x) for x in pair.arms)}")
-        lines.append(f"legs: {' '.join(str(x) for x in pair.legs)}")
-        lines.append(f"shape: {' '.join(str(x) for x in shape)}")
-        lines.append("diagram:")
-        lines.append(render_two_modular(shape))
-        lines.append(f"hooks: {' '.join(str(x) for x in hooks)}")
-        lines.append(f"schmidt: {format_partition(hooks_to_schmidt(hooks))}")
-    print("\n".join(lines))
-    return 0
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -107,15 +60,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("map", help="map a colored partition, e.g. 2r+1g")
     cmd.add_argument("colored")
-    cmd.set_defaults(func=_cmd_map)
+    cmd.set_defaults(
+        func=_cmd_text,
+        build=lambda a: format_partition(two_color_to_schmidt(parse_two_color(a.colored))),
+    )
 
     cmd = sub.add_parser("unmap", help="invert the map on a plain partition, e.g. 3+2")
     cmd.add_argument("partition")
-    cmd.set_defaults(func=_cmd_unmap)
+    cmd.set_defaults(
+        func=_cmd_text,
+        build=lambda a: format_two_color(schmidt_to_two_color(parse_partition(a.partition))),
+    )
 
     cmd = sub.add_parser("table", help="print the full correspondence at one weight")
     cmd.add_argument("--n", type=int, required=True)
-    cmd.set_defaults(func=_cmd_table)
+    cmd.set_defaults(func=_cmd_text, build=lambda a: harness.table_text(a.n))
 
     cmd = sub.add_parser("verify", help="compare counts and run round trips")
     cmd.add_argument("--max-n", type=int, default=20)
@@ -139,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("render", help="show every intermediate of the forward map")
     cmd.add_argument("colored")
-    cmd.set_defaults(func=_cmd_render)
+    cmd.set_defaults(func=_cmd_text, build=lambda a: harness.render_text(a.colored))
 
     _parser = parser
     return parser

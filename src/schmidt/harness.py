@@ -7,6 +7,7 @@ cutoff; `refined_report` and `table_pairs` enumerate.  Everything here is
 a pure function of its arguments, so reports are byte-for-byte
 reproducible.  `format_report` renders either report in
 any of `FORMATS`: CSV and JSON for machine consumption, text for humans.
+`table_text` and `render_text` are the pages of `table` and `render`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
-from .bijection import schmidt_to_two_color, two_color_to_schmidt
+from .bijection import render_two_modular, schmidt_to_two_color, trace_forward, two_color_to_schmidt
 from .partitions import (
     Parts,
     RefinedQuery,
@@ -30,7 +31,7 @@ from .partitions import (
     two_color_counts,
 )
 from .series import two_color_coefficients
-from .textform import format_partition, format_two_color
+from .textform import format_partition, format_two_color, parse_two_color
 
 
 FORMATS = ("text", "csv", "json")  # the first is the default
@@ -156,6 +157,30 @@ def table_text(n: int) -> str:
         f"{format_two_color(tc)} <-> {format_partition(image)}"
         for tc, image in table_pairs(n)
     ]
+    return "\n".join(lines)
+
+
+def render_text(colored: str) -> str:
+    """The colored text's two colors, every intermediate of the forward map
+    from `trace_forward` with the 2-modular diagram, and the image."""
+    two_color = parse_two_color(colored)
+    lines = [
+        f"input: {colored}",
+        f"red: {format_partition(two_color.red)}",
+        f"green: {format_partition(two_color.green)}",
+    ]
+    image: Parts = ()
+    if two_color.weight:
+        _, pair, shape, hooks, image = trace_forward(two_color)
+        lines += [
+            f"arms: {' '.join(map(str, pair.arms))}",
+            f"legs: {' '.join(map(str, pair.legs))}",
+            f"shape: {' '.join(map(str, shape))}",
+            "diagram:",
+            render_two_modular(shape),
+            f"hooks: {' '.join(map(str, hooks))}",
+        ]
+    lines.append(f"schmidt: {format_partition(image)}")
     return "\n".join(lines)
 
 

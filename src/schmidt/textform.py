@@ -27,7 +27,7 @@ def parse_partition(text: str) -> Parts:
         return ()
     parts = []
     for token in text.split("+"):
-        if not token.isdigit():
+        if not token.isdecimal():
             raise PartitionSyntaxError(f"bad part {token!r} in {text!r}")
         parts.append(int(token))
     try:

@@ -7,10 +7,9 @@ import time
 from pathlib import Path
 
 from schmidt.bijection import (
-    add_staircase,
     hook_decompose,
-    pad_colors,
     schmidt_to_two_color,
+    trace_forward,
     two_color_to_schmidt,
     wright_build,
     DistinctPair,
@@ -82,11 +81,10 @@ def test_criterion_4_weight_identities(capsys):
                 failures += 1
             if tc.weight == 0:
                 continue
-            pair = add_staircase(pad_colors(tc))
+            _, pair, _, hooks, _ = trace_forward(tc)
             m = pair.m
             if sum(pair.arms) + sum(pair.legs) != n + m * (m - 1):
                 failures += 1
-            hooks = hook_decompose(wright_build(pair))
             if sum(hooks[::2]) != n + m * m:
                 failures += 1
     with capsys.disabled():

@@ -22,6 +22,7 @@ from schmidt.bijection import (
     render_two_modular,
     schmidt_to_hooks,
     schmidt_to_two_color,
+    trace_forward,
     two_color_to_schmidt,
     wright_build,
     wright_split,
@@ -437,6 +438,23 @@ def test_full_map_examples():
     assert two_color_to_schmidt(TwoColorPartition((1, 1), (3, 2, 1))) == (4, 3, 3, 2, 1)
     assert schmidt_to_two_color(()) == TwoColorPartition((), ())
     assert schmidt_to_two_color((4, 3, 3, 2, 1)) == TwoColorPartition((1, 1), (3, 2, 1))
+
+
+def test_trace_forward_inverts_step_by_step():
+    for n in range(1, 11):
+        for tc in enumerate_two_color(n):
+            padded, pair, shape, hooks, image = trace_forward(tc)
+            assert padded == pad_colors(tc)
+            assert remove_staircase(pair) == tc
+            assert wright_split(shape) == pair
+            assert hook_compose(hooks) == shape
+            assert schmidt_to_hooks(image) == hooks
+            assert image == two_color_to_schmidt(tc)
+
+
+def test_trace_forward_rejects_empty():
+    with pytest.raises(ValueError):
+        trace_forward(TwoColorPartition((), ()))
 
 
 def test_round_trips_exhaustive():

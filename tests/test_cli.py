@@ -87,6 +87,11 @@ def test_parse_failures_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_non_decimal_digit_gets_the_grammar_message(capsys):
+    code, out, err = run_cli(capsys, "unmap", "²")
+    assert (code, out, err) == (2, "", "error: bad part '²' in '²'\n")
+
+
 def test_table_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "3")
     assert code == 0
@@ -275,6 +280,14 @@ def test_render_smallest_and_empty(capsys):
     code, out, _ = run_cli(capsys, "render", "0")
     assert code == 0
     assert out == "input: 0\nred: 0\ngreen: 0\nschmidt: 0\n"
+
+
+def test_text_builders_are_looked_up_at_call_time(capsys, monkeypatch):
+    monkeypatch.setattr(schmidt.harness, "render_text", lambda colored: f"patched {colored}")
+    assert run_cli(capsys, "render", "1r") == (0, "patched 1r\n", "")
+    # an empty page prints nothing, not an empty line
+    monkeypatch.setattr(schmidt.harness, "render_text", lambda colored: "")
+    assert run_cli(capsys, "render", "1r") == (0, "", "")
 
 
 def test_module_entry_point():

@@ -21,7 +21,8 @@ def test_plain_round_trip(text, parts):
     assert format_partition(parts) == text
 
 
-@pytest.mark.parametrize("bad", ["", "1+2", "3+", "a", "3 + 2", "1+0", "-1"])
+# "²" is a digit to str.isdigit but not a decimal that int() reads
+@pytest.mark.parametrize("bad", ["", "1+2", "3+", "a", "3 + 2", "1+0", "-1", "²", "3+²"])
 def test_plain_rejects(bad):
     with pytest.raises(PartitionSyntaxError):
         parse_partition(bad)

@@ -16,12 +16,11 @@ from hypothesis import given
 import schmidt.bijection
 import schmidt.partitions
 from schmidt.bijection import (
-    add_staircase,
     hook_compose,
-    pad_colors,
     remove_staircase,
     schmidt_to_hooks,
     schmidt_to_two_color,
+    trace_forward,
     two_color_to_schmidt,
     wright_build,
     wright_split,
@@ -62,11 +61,10 @@ def inner_pairs(monkeypatch):
 
 def check_forward_steps(tc):
     assert_as_checked(tc)
-    padded = pad_colors(tc)
+    padded, pair, shape, _, _ = trace_forward(tc)
     assert_as_checked(padded)
-    pair = add_staircase(padded)
     assert_as_checked(pair)
-    assert_as_checked(wright_split(wright_build(pair)))
+    assert_as_checked(wright_split(shape))
     assert_as_checked(parse_two_color(format_two_color(tc)))
 
 
