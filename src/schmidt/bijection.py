@@ -10,8 +10,8 @@ finally subtract a staircase from the interleaved hook counts.  Every
 step is exposed on its own so that each can be tested and inverted
 independently.  `trace_forward` is the one composition of the forward
 steps; the composites are `two_color_to_schmidt` and
-`schmidt_to_two_color`.  `wright_build` and `wright_split` are the only
-writer and reader of the diagram.
+`schmidt_to_two_color`.  Only the forward side draws the diagram, with
+`wright_build` and `wright_split`; the inverse reads the pair off the hooks.
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
     return hooks
 
 
-def hook_compose(hooks: tuple[int, ...]) -> Parts:
-    """Rebuild the unique shape whose hook decomposition is ``hooks``.
+def hook_compose(hooks: tuple[int, ...]) -> DistinctPair:
+    """Read the arms and legs of the unique shape whose hooks are ``hooks``.
 
     With ones[j] the 1-count of hook j (cells minus 2's), the legs satisfy
     legs[j] = (m-j) + sum over k >= j of (ones[k] - 1), that is
@@ -230,7 +230,7 @@ def hook_compose(hooks: tuple[int, ...]) -> Parts:
     reach.reverse()
     legs = list(map(operator.sub, reach, itertools.repeat(1)))
     arms = list(map(operator.sub, cells, reach))
-    return wright_build(_unchecked(DistinctPair, tuple(arms), tuple(legs)))
+    return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
 def hooks_to_schmidt(hooks: tuple[int, ...]) -> Parts:
@@ -284,7 +284,7 @@ def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:
     p = tuple(partition)
     if not p:
         return TwoColorPartition((), ())
-    return remove_staircase(wright_split(hook_compose(schmidt_to_hooks(p))))
+    return remove_staircase(hook_compose(schmidt_to_hooks(p)))
 
 
 def render_two_modular(shape: Parts) -> str:

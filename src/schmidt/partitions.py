@@ -162,7 +162,7 @@ def schmidt_counts(max_n: int) -> tuple[int, ...]:
 
 
 def count_schmidt(n: int) -> int:
-    """Number of partitions with alternating sum ``n``."""
+    """Entry ``n`` of `schmidt_counts(n)`, a whole O(n²) table: for many n, call that once."""
     return schmidt_counts(n)[n]
 
 
@@ -248,7 +248,7 @@ def two_color_counts(max_n: int) -> tuple[int, ...]:
 
 
 def count_two_color(n: int) -> int:
-    """Number of two-color partitions of weight ``n``."""
+    """Entry ``n`` of `two_color_counts(n)`, a whole O(n²) table: for many n, call that once."""
     return two_color_counts(n)[n]
 
 

@@ -313,11 +313,15 @@ def test_hook_decompose_matches_cell_oracle_on_large_shapes(parts):
 
 
 @pytest.mark.parametrize(
-    "hooks,shape",
-    [((9, 7, 6, 4, 2, 0), (4, 4, 3, 3, 2, 1)), ((4, 3), (4,))],
+    "hooks,pair,shape",
+    [
+        ((9, 7, 6, 4, 2, 0), DistinctPair((3, 2, 0), (5, 3, 1)), (4, 4, 3, 3, 2, 1)),
+        ((4, 3), DistinctPair((3,), (0,)), (4,)),
+    ],
 )
-def test_hook_compose(hooks, shape):
-    assert hook_compose(hooks) == shape
+def test_hook_compose(hooks, pair, shape):
+    assert hook_compose(hooks) == pair
+    assert wright_build(hook_compose(hooks)) == shape
 
 
 @pytest.mark.parametrize("bad", [(3, 3, 1, 0), (1,), (), (2, 3), (1, -1)])
@@ -329,7 +333,7 @@ def test_hook_compose_rejects(bad):
 def test_hook_round_trip_on_all_shapes():
     for n in range(1, 13):
         for shape in partitions_of(n):
-            assert hook_compose(hook_decompose(shape)) == shape
+            assert wright_build(hook_compose(hook_decompose(shape))) == shape
 
 
 def test_hook_round_trip_on_all_vectors():
@@ -338,7 +342,7 @@ def test_hook_round_trip_on_all_vectors():
     # 2-8 with entries at most 11
     for length in range(2, 9, 2):
         for hooks in combinations(range(11, -1, -1), length):
-            assert hook_decompose(hook_compose(hooks)) == hooks
+            assert hook_decompose(wright_build(hook_compose(hooks))) == hooks
 
 
 def test_hook_compose_matches_quadratic_leg_formula():
@@ -352,7 +356,7 @@ def test_hook_compose_matches_quadratic_leg_formula():
                 (m - j) + sum(o - 1 for o in ones[j - 1 :]) for j in range(1, m + 1)
             )
             arms = tuple(hooks[2 * j] - 1 - legs[j] for j in range(m))
-            assert hook_compose(hooks) == wright_build(DistinctPair(arms, legs))
+            assert hook_compose(hooks) == DistinctPair(arms, legs)
 
 
 def test_unmap_is_linear_in_the_number_of_hooks():
@@ -447,7 +451,7 @@ def test_trace_forward_inverts_step_by_step():
             assert padded == pad_colors(tc)
             assert remove_staircase(pair) == tc
             assert wright_split(shape) == pair
-            assert hook_compose(hooks) == shape
+            assert hook_compose(hooks) == pair
             assert schmidt_to_hooks(image) == hooks
             assert image == two_color_to_schmidt(tc)
 

@@ -312,7 +312,7 @@ HUGE = "99999999999999999999"
 
 @pytest.mark.parametrize(
     "argv",
-    [("map", HUGE + "g"), ("unmap", HUGE), ("render", HUGE + "r"), ("verify", "--max-n", HUGE)],
+    [("map", HUGE + "g"), ("render", HUGE + "g"), ("render", HUGE + "r"), ("verify", "--max-n", HUGE)],
 )
 def test_number_too_large_is_a_usage_error(argv):
     proc = subprocess.run(
@@ -324,20 +324,38 @@ def test_number_too_large_is_a_usage_error(argv):
     assert proc.stdout == ""
 
 
-def test_out_of_memory_is_a_usage_error():
+def run_in_one_gib(*argv):
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
     def limit_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "schmidt", "map", "1000000000g"],
+    return subprocess.run(
+        [sys.executable, "-m", "schmidt", *argv],
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
     )
-    assert_usage_error(proc)
+
+
+def test_out_of_memory_is_a_usage_error():
+    assert_usage_error(run_in_one_gib("map", "1000000000g"))
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (("unmap", "1000000000"), "1000000000g"),
+        (("unmap", HUGE), HUGE + "g"),
+        (("unmap", HUGE + "+5+5+1"), "99999999999999999998g+4g+1r+1r"),
+    ],
+)
+def test_unmap_of_huge_parts_fits_in_one_gib(argv, out):
+    # the inverse never draws the diagram, so its cost does not grow with
+    # the size of a part
+    proc = run_in_one_gib(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -4,8 +4,12 @@ Write g_i and r_i for the i-th green and red part, 0 past each color's
 length.  The image of a two-color partition with m = max(#red, #green) is
 (r1+g1, r1+g2, r2+g2, ..., rm+gm, rm+g(m+1)) with its trailing zeros cut,
 so the preimage of a Schmidt partition s has its largest parts and its
-part counts as alternating sums and drops of s.
+part counts as alternating sums and drops of s, and its parts as the
+differences of s.
 """
+
+import itertools
+import time
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -26,6 +30,23 @@ def closed_form(tc):
     while image and image[-1] == 0:
         image.pop()
     return tuple(image)
+
+
+def closed_inverse(s):
+    """The preimage of ``s`` read off its differences, with zeros past the end.
+
+    s(2j-1) - s(2j) = g_j - g_(j+1) and s(2j) - s(2j+1) = r_j - r_(j+1), so
+    each part of a color is the sum of that color's differences from it on.
+    """
+    padded = s + (0,) * (3 - len(s) % 2)
+    green_steps = [padded[i] - padded[i + 1] for i in range(0, len(s), 2)]
+    red_steps = [padded[i] - padded[i + 1] for i in range(1, len(s) + 1, 2)]
+
+    def color(steps):
+        parts = list(itertools.accumulate(reversed(steps)))
+        return tuple(part for part in reversed(parts) if part)
+
+    return TwoColorPartition(color(red_steps), color(green_steps))
 
 
 def schmidt_statistics(s):
@@ -51,6 +72,12 @@ def test_closed_form_is_the_map_exhaustively():
             assert two_color_to_schmidt(tc) == closed_form(tc)
 
 
+def test_closed_inverse_is_the_inverse_exhaustively():
+    for n in range(MAX_WEIGHT + 1):
+        for s in enumerate_schmidt(n):
+            assert schmidt_to_two_color(s) == closed_inverse(s)
+
+
 def test_schmidt_statistics_of_the_preimage_exhaustively():
     for n in range(MAX_WEIGHT + 1):
         for s in enumerate_schmidt(n):
@@ -73,3 +100,21 @@ def test_closed_form_is_the_map(tc):
 @given(large_partitions)
 def test_schmidt_statistics_of_the_preimage(s):
     assert preimage_statistics(schmidt_to_two_color(s)) == schmidt_statistics(s)
+
+
+huge_partitions = st.lists(st.integers(1, 10**18), max_size=60).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+@given(huge_partitions)
+def test_closed_inverse_is_the_inverse_on_huge_parts(s):
+    assert schmidt_to_two_color(s) == closed_inverse(s)
+
+
+def test_unmap_of_parts_near_a_quintillion_is_fast():
+    s = tuple(range(10**18 + 10**5, 10**18, -1))
+    start = time.perf_counter()
+    preimage = schmidt_to_two_color(s)
+    assert time.perf_counter() - start < 1.0
+    assert preimage == closed_inverse(s)
