@@ -284,13 +284,18 @@ def _stats(tc: TwoColorPartition) -> tuple[int, int, int, int]:
     return (tc.num_red, tc.num_green, tc.max_red, tc.max_green)
 
 
-def _cell_count(tally: Counter, r: int, l: int, p: int, q: int) -> int:
-    # entries of a (num_red, num_green, max_red, max_green) tally in cell (r, l, p, q)
-    return sum(
-        count
-        for (nr, ng, mr, mg), count in tally.items()
-        if nr == r and ng == l and mr <= p and mg <= q
-    )
+def _by_part_counts(tally: Counter) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    # a (num_red, num_green, max_red, max_green) tally grouped by its part
+    # counts, each entry as (max_red, max_green, count)
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for (nr, ng, mr, mg), count in tally.items():
+        groups.setdefault((nr, ng), []).append((mr, mg, count))
+    return groups
+
+
+def _cell_count(groups: dict, r: int, l: int, p: int, q: int) -> int:
+    # entries of cell (r, l, p, q): only the (r, l) group is scanned
+    return sum(count for mr, mg, count in groups.get((r, l), ()) if mr <= p and mg <= q)
 
 
 def refined_report(
@@ -302,11 +307,13 @@ def refined_report(
     s_literal counts the fixed-length bounded vectors; transported_count
     counts partitions of alternating sum n whose preimage statistics
     match the bounds.  Only transported_match feeds the pass flag, the
-    literal column is recorded as data.  Each weight's two-color
-    partitions and preimages are tallied once, and each literal vector
-    set, which depends only on (max(r, l), p+q), is counted once.  An
-    inverse map that raises fails the report, and the witness names the
-    first partition it raised at; that partition is left out of the tally.
+    literal column is recorded as data.  For each weight, every two-color
+    partition and every preimage is enumerated once, and its statistics
+    are tallied and grouped by (num_red, num_green), so a cell scans only
+    its own group.  Each literal vector set, which depends only on
+    (max(r, l), p+q), is counted once per weight.  An inverse map that
+    raises fails the report, and the witness names the first partition it
+    raised at; that partition is left out of the tally.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
@@ -314,16 +321,17 @@ def refined_report(
     records = []
     witness = None
     for n in range(1, max_n + 1):
-        direct = Counter(_stats(tc) for tc in enumerate_two_color(n))
-        transported: Counter = Counter()
+        direct = _by_part_counts(Counter(_stats(tc) for tc in enumerate_two_color(n)))
+        preimages: Counter = Counter()
         for partition in enumerate_schmidt(n):
             try:
-                transported[_stats(schmidt_to_two_color(partition))] += 1
+                preimages[_stats(schmidt_to_two_color(partition))] += 1
             except Exception as exc:  # a raising map is a witness, not a crash
                 witness = witness or (
                     f"n={n}: inverse map raised {type(exc).__name__}: {exc}"
                     f" at {format_partition(partition)}"
                 )
+        transported = _by_part_counts(preimages)
         literal: dict[tuple[int, int], int] = {}
         for r, l, p, q in grid:
             key = (max(r, l), p + q)

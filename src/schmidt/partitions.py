@@ -92,12 +92,12 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
             yield (first,) + rest
 
 
-def _interleave(heads: Parts, last: int) -> list:
+def _interleave(heads: Parts) -> list:
     # itertools.product factors (h1,), range(h1, h2 - 1, -1), (h2,), ...,
-    # (hk,), range(hk, last - 1, -1): each even-position part runs from the
-    # head before it down to the head after it, or to ``last`` after hk.
+    # (hk,), range(hk, 0, -1): each even-position part runs from the head
+    # before it down to the head after it, or to 1 after hk.
     factors = []
-    for head, after in zip(heads, heads[1:] + (last,)):
+    for head, after in zip(heads, heads[1:] + (1,)):
         factors += [(head,), range(head, after - 1, -1)]
     return factors
 
@@ -120,7 +120,7 @@ def enumerate_schmidt(n: int) -> list[Parts]:
         return [()]
     out = []
     for heads in partitions_of(n):
-        factors = _interleave(heads, 1)
+        factors = _interleave(heads)
         out += itertools.product(*factors[:-1])
         out += itertools.product(*factors)
     out.sort(reverse=True)
@@ -284,26 +284,26 @@ def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
     out = []
     # r parts in [1, p] weigh between r and r*p, likewise l parts in [1, q]
     for red_weight in range(max(r, n - l * q), min(r * p, n - l) + 1):
-        reds = _decreasing(red_weight, r, 1, p)
-        greens = _decreasing(n - red_weight, l, 1, q)
-        # _decreasing with low = 1 gives positive weakly decreasing tuples
+        reds = _decreasing(red_weight, r, p)
+        greens = _decreasing(n - red_weight, l, q)
+        # _decreasing gives positive weakly decreasing tuples
         out += [_unchecked(TwoColorPartition, red, green) for red in reds for green in greens]
     out.sort(key=TwoColorPartition.sort_key)
     return out
 
 
-def _decreasing(total: int, count: int, low: int, high: int) -> list[tuple[int, ...]]:
-    # Weakly decreasing count-tuples (count >= 1) with entries in [low, high]
+def _decreasing(total: int, count: int, high: int) -> list[tuple[int, ...]]:
+    # Weakly decreasing count-tuples (count >= 1) with entries in [1, high]
     # summing to total, in descending lexicographic order.  The first entry
-    # runs down from the largest that leaves low for every later entry to the
+    # runs down from the largest that leaves 1 for every later entry to the
     # mean rounded up, so every recursive call has a nonempty answer.
-    if not count * low <= total <= count * high:
+    if not count <= total <= count * high:
         return []
     if count == 1:
         return [(total,)]
     out = []
-    for first in range(min(high, total - (count - 1) * low), -(-total // count) - 1, -1):
-        out += [(first,) + rest for rest in _decreasing(total - first, count - 1, low, first)]
+    for first in range(min(high, total - count + 1), -(-total // count) - 1, -1):
+        out += [(first,) + rest for rest in _decreasing(total - first, count - 1, first)]
     return out
 
 
@@ -314,14 +314,37 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     odd-position sum ``n``, in descending lexicographic order.  Trailing
     zeros are significant, so vectors that would trim to the same
     partition are distinct members.
+
+    The odd-position entries, the heads h1 >= ... >= hk with k = max(r, l),
+    are placed by one depth-first walk, the last forced to be what remains
+    of n, and each head tuple's vectors are one product of ranges, built in
+    C.  Products of different heads interleave when k >= 3, so the list is
+    sorted once at the end.
     """
-    # The odd-position (0-based even index) entries are a decreasing tuple
-    # of heads, and each tuple's vectors are one product of _interleave's
-    # ranges (to 0 for the last), built in C.  Products of different heads
-    # interleave in lexicographic order, so the whole list is sorted once
-    # at the end.
-    out = []
-    for heads in _decreasing(query.n, max(query.r, query.l), 0, query.p + query.q):
-        out += itertools.product(*_interleave(heads, 0))
+    k, cap = max(query.r, query.l), query.p + query.q
+    if query.n > k * cap:
+        return []
+    out: list[tuple[int, ...]] = []
+    _place_heads(out, [()] * (2 * k), 0, k, query.n, cap)
     out.sort(reverse=True)
     return out
+
+
+def _place_heads(out: list, factors: list, at: int, count: int, total: int, prev: int) -> None:
+    # factors holds the product factors (h1,), range(h1, h2 - 1, -1), (h2,),
+    # ..., (hk,), range(hk, -1, -1), overwritten in place as the walk goes;
+    # placing h1 also writes the last entry, which placing hk overwrites.
+    # Place count heads from factors[at] on, each at most prev, summing to
+    # total; each runs down to the mean rounded up, so no branch is empty.
+    # Not a closure: a self-recursive closure is a reference cycle, which
+    # would keep ``out`` alive until the cyclic collector runs.
+    if count == 1:
+        factors[at - 1] = range(prev, total - 1, -1)
+        factors[at] = (total,)
+        factors[at + 1] = range(total, -1, -1)
+        out += itertools.product(*factors)
+        return
+    for head in range(min(prev, total), -(-total // count) - 1, -1):
+        factors[at - 1] = range(prev, head - 1, -1)
+        factors[at] = (head,)
+        _place_heads(out, factors, at + 2, count - 1, total - head, head)

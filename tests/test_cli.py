@@ -26,6 +26,9 @@ GOLDEN_REPORTS = {
     "refined_n3_2222": (
         "refined", "--max-n", "3", "--max-r", "2", "--max-l", "2", "--max-p", "2", "--max-q", "2",
     ),
+    "refined_n6_3232": (
+        "refined", "--max-n", "6", "--max-r", "3", "--max-l", "2", "--max-p", "3", "--max-q", "2",
+    ),
 }
 BROKEN_VERIFY = VerifyReport(
     max_n=1,

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import schmidt.harness
+from schmidt.bijection import schmidt_to_two_color
 from schmidt.harness import (
     FORMATS,
     format_report,
@@ -143,6 +144,23 @@ def test_refined_report_counts_match_the_cell_enumerators():
         query = RefinedQuery(row.n, row.r, row.l, row.p, row.q)
         assert row.t_refined == len(enumerate_two_color_refined(query))
         assert row.s_literal == len(enumerate_schmidt_refined_literal(query))
+
+
+def test_refined_report_transported_counts_match_mapped_preimages():
+    # independent of the report's tallies: map every partition of
+    # alternating sum n back and count the preimages inside each cell
+    report = refined_report(6, 3, 3, 3, 3)
+    assert len(report.records) == 6 * 81
+    preimages = {n: [schmidt_to_two_color(s) for s in enumerate_schmidt(n)] for n in range(1, 7)}
+    for row in report.records:
+        expected = sum(
+            tc.num_red == row.r
+            and tc.num_green == row.l
+            and tc.max_red <= row.p
+            and tc.max_green <= row.q
+            for tc in preimages[row.n]
+        )
+        assert row.transported_count == expected
 
 
 def test_refined_renderings():

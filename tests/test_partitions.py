@@ -281,6 +281,10 @@ def test_enumerate_two_color_refined(query, expected):
         (RefinedQuery(2, 1, 1, 1, 1), {(2, 0), (2, 1), (2, 2)}),
         (RefinedQuery(0, 1, 1, 1, 1), {(0, 0)}),
         (RefinedQuery(3, 1, 1, 1, 2), {(3, 0), (3, 1), (3, 2), (3, 3)}),
+        # n above max(r, l) * (p + q), the most the heads can sum to
+        (RefinedQuery(4, 1, 1, 1, 2), set()),
+        (RefinedQuery(13, 3, 2, 2, 2), set()),
+        (RefinedQuery(31, 2, 5, 3, 3), set()),
     ],
 )
 def test_enumerate_schmidt_refined_literal(query, expected):
@@ -291,7 +295,7 @@ def test_literal_vectors_match_product_scan():
     # dumb oracle: scan every weakly decreasing vector of the length (each
     # combination with replacement, reversed), grouped by odd-position sum
     # and sorted descending; the enumerator must give the same ordered list
-    for length, cap in itertools.product((2, 4, 6, 8), range(2, 9)):
+    for length, cap in itertools.product((2, 4, 6, 8, 10), range(2, 9)):
         by_sum = {}
         for v in itertools.combinations_with_replacement(range(cap + 1), length):
             v = v[::-1]
