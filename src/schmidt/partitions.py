@@ -133,36 +133,37 @@ def schmidt_counts(max_n: int) -> tuple[int, ...]:
     Counted by a DP over blocks of a head and the even part after it, not
     by enumeration nor through the bijection.  Let F[r][b] count the ways
     to finish a partition whose heads still to place sum to r and whose
-    later parts are all at most b.  Then F[0][b] = 1, and the next head h
-    <= min(r, b) either ends the partition (if h = r) or is followed by an
-    even part e <= h:
+    later parts are all at most b, and S[r][b] = F[r][1] + ... + F[r][b].
+    Then F[0][b] = 1 and F[r][0] = 0 for r > 0.  The finishes that F[r][b]
+    counts and F[r][b - 1] does not are those whose next head is b, which
+    needs b <= r: that head ends the partition (if b = r) or is followed by
+    an even part e <= b, and then by one of the F[r - b][e] finishes:
 
-        F[r][b] = sum over h = 1..min(r, b) of ([h = r] + P[r - h][h]),
+        F[r][b] = F[r][b - 1] + [b = r] + S[r - b][b]   for b <= r,
+        F[r][b] = F[r][b - 1]                           for b > r.
 
-    where P[r][b] = F[r][1] + ... + F[r][b].  The count for n is F[n][n].
-    F[r][b] = F[r][r] for b >= r, so P[r] is stored cut at b = r and read
-    past it linearly: O(max_n**2) additions in all.
+    Column b overwrites column b - 1 in two lists of max_n + 1 entries,
+    taking the rows r in ascending order, so S[r - b] already holds column
+    b when row r reads it.  The count for n is F[n][n] = F[n][max_n]:
+    O(max_n**2) additions and O(max_n) memory.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    # F[r][r], allocated whole so that a max_n too large to hold fails here
-    counts = [1] + [0] * max_n
-    prefix = [(0,)]  # P[r][0..r]
-    for r in range(1, max_n + 1):
-        # heads h = 1..r read the rows r - 1, ..., 0; row r - h stops at b = r - h
-        steps = [
-            row[h] if h < len(row) else row[-1] + (h - len(row) + 1) * counts[r - h]
-            for h, row in zip(range(1, r + 1), reversed(prefix))
-        ]
-        steps[-1] += 1  # the head h = r ends the partition
-        finish = list(itertools.accumulate(steps))  # F[r][1..r]
-        counts[r] = finish[-1]
-        prefix.append(tuple(itertools.accumulate(finish, initial=0)))
-    return tuple(counts)
+    # F[r][b] and S[r][b], allocated whole so that a max_n too large to hold fails here
+    finish = [1] + [0] * max_n
+    prefix = [0] * (max_n + 1)
+    for b in range(1, max_n + 1):
+        finish[b] += 1  # the head b = r ends the partition
+        # rows r < b keep F[r][b] = F[r][b - 1]
+        prefix[:b] = map(operator.add, prefix[:b], finish[:b])
+        for r in range(b, max_n + 1):
+            finish[r] += prefix[r - b]
+            prefix[r] += finish[r]
+    return tuple(finish)
 
 
 def count_schmidt(n: int) -> int:
-    """Entry ``n`` of `schmidt_counts(n)`, a whole O(n²) table: for many n, call that once."""
+    """Entry ``n`` of `schmidt_counts(n)`: O(n²) additions, O(n) memory; for many n, call that once."""
     return schmidt_counts(n)[n]
 
 
@@ -210,15 +211,14 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-    for red_weight in range(n, -1, -1):
-        greens = list(partitions_of(n - red_weight))
-        # partitions_of yields positive weakly decreasing tuples
-        out += [
-            _unchecked(TwoColorPartition, red, green)
-            for red in partitions_of(red_weight)
-            for green in greens
-        ]
+    parts = [list(partitions_of(k)) for k in range(n + 1)]
+    # partitions_of yields positive weakly decreasing tuples
+    out = [
+        _unchecked(TwoColorPartition, red, green)
+        for red_weight in range(n, -1, -1)
+        for red in parts[red_weight]
+        for green in parts[n - red_weight]
+    ]
     out.sort(key=TwoColorPartition.sort_key)
     return out
 
@@ -248,7 +248,7 @@ def two_color_counts(max_n: int) -> tuple[int, ...]:
 
 
 def count_two_color(n: int) -> int:
-    """Entry ``n`` of `two_color_counts(n)`, a whole O(n²) table: for many n, call that once."""
+    """Entry ``n`` of `two_color_counts(n)`: O(n²) additions, O(n) memory; for many n, call that once."""
     return two_color_counts(n)[n]
 
 

@@ -327,9 +327,8 @@ def test_number_too_large_is_a_usage_error(argv):
     assert proc.stdout == ""
 
 
-def run_in_one_gib(*argv):
+def run_in_one_gib(*argv, limit=1 << 30):
     resource = pytest.importorskip("resource")
-    limit = 1 << 30
 
     def limit_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -359,6 +358,14 @@ def test_unmap_of_huge_parts_fits_in_one_gib(argv, out):
     # the size of a part
     proc = run_in_one_gib(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
+
+
+def test_verify_counts_fit_in_128_mib():
+    # the three count tables each keep O(max_n) big integers, so the counts
+    # up to 2000 need no more than the interpreter itself
+    proc = run_in_one_gib("verify", "--max-n", "2000", "--roundtrip-cutoff", "0", limit=128 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1].startswith("PASS:")
 
 
 def test_reused_parser_leaks_no_state(capsys):

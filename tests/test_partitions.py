@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,20 @@ def test_count_tables_match_the_series_and_oeis():
     assert two_color_counts(500) == series
     assert schmidt_counts(10) == two_color_counts(10) == A000712
     assert schmidt_counts(0) == two_color_counts(0) == (1,)
+
+
+def test_schmidt_counts_keeps_two_rows():
+    # the DP holds F[.][b] and S[.][b] for one bound b at a time, so its
+    # memory grows with max_n, not with max_n**2: about 0.2 MB at 1000,
+    # where a stored table of every prefix row takes 27 MB
+    tracemalloc.start()
+    try:
+        counts = schmidt_counts(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 1001
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("table", [schmidt_counts, two_color_counts, count_schmidt, count_two_color])
