@@ -6,7 +6,10 @@ on a number too large to process.
 Every subcommand is a builder plus one of two handlers: ``build`` makes
 its text (`_cmd_text`) or its report (`_cmd_report`) from the arguments.
 The argument parser is built once per process, on the first call of
-`build_parser`, and every later `main` call reuses it.
+`build_parser`, and every later `main` call reuses it.  Importing this
+module loads only what `map` and `unmap` use: the report layer
+(`harness`, and `json` with it) is imported by the builders of `table`,
+`verify`, `refined` and `render` and by `_cmd_report`, when they run.
 """
 
 from __future__ import annotations
@@ -14,12 +17,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
-from .textform import format_partition, format_two_color, parse_partition, parse_two_color
+from .textform import FORMATS, format_partition, format_two_color, parse_partition, parse_two_color
 
 
-# The builders look harness up when called, so a rebinding of it is seen.
+def _harness():
+    # The report layer, imported on first use.  The builders look its
+    # functions up when called, so a rebinding of one is seen.
+    from . import harness
+
+    return harness
+
+
 def _cmd_text(args: argparse.Namespace) -> int:
     text = args.build(args)
     if text:
@@ -29,7 +38,7 @@ def _cmd_text(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = args.build(args)
-    out = harness.format_report(report, args.format)
+    out = _harness().format_report(report, args.format)
     print(out)
     # a failing report whose output does not end with its summary gives it on stderr
     if not report.ok and not out.endswith(report.summary):
@@ -74,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("table", help="print the full correspondence at one weight")
     cmd.add_argument("--n", type=int, required=True)
-    cmd.set_defaults(func=_cmd_text, build=lambda a: harness.table_text(a.n))
+    cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().table_text(a.n))
 
     cmd = sub.add_parser("verify", help="compare counts and run round trips")
     cmd.add_argument("--max-n", type=int, default=20)
     cmd.add_argument("--roundtrip-cutoff", type=int, default=12)
-    cmd.add_argument("--format", choices=harness.FORMATS, default=harness.FORMATS[0])
+    cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(
-        func=_cmd_report, build=lambda a: harness.verify_report(a.max_n, a.roundtrip_cutoff)
+        func=_cmd_report, build=lambda a: _harness().verify_report(a.max_n, a.roundtrip_cutoff)
     )
 
     cmd = sub.add_parser("refined", help="run the four-parameter refinement grid")
@@ -90,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-l", type=int, default=3)
     cmd.add_argument("--max-p", type=int, default=3)
     cmd.add_argument("--max-q", type=int, default=3)
-    cmd.add_argument("--format", choices=harness.FORMATS, default=harness.FORMATS[0])
+    cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(
         func=_cmd_report,
-        build=lambda a: harness.refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q),
+        build=lambda a: _harness().refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q),
     )
 
     cmd = sub.add_parser("render", help="show every intermediate of the forward map")
     cmd.add_argument("colored")
-    cmd.set_defaults(func=_cmd_text, build=lambda a: harness.render_text(a.colored))
+    cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().render_text(a.colored))
 
     _parser = parser
     return parser

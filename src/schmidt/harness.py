@@ -6,8 +6,11 @@ and the series) and enumerates both sides only up to its round-trip
 cutoff; `refined_report` and `table_pairs` enumerate.  Everything here is
 a pure function of its arguments, so reports are byte-for-byte
 reproducible.  `format_report` renders either report in
-any of `FORMATS`: CSV and JSON for machine consumption, text for humans.
-`table_text` and `render_text` are the pages of `table` and `render`.
+any of `FORMATS` (defined in `textform`): CSV and JSON for machine
+consumption, text for humans.  `table_text` and `render_text` are the
+pages of `table` and `render`.  The command line imports this module
+only when one of those commands or a report runs, so `map` and `unmap`
+start without it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable
 
 from .bijection import render_two_modular, schmidt_to_two_color, trace_forward, two_color_to_schmidt
 from .partitions import (
@@ -31,10 +34,7 @@ from .partitions import (
     two_color_counts,
 )
 from .series import two_color_coefficients
-from .textform import format_partition, format_two_color, parse_two_color
-
-
-FORMATS = ("text", "csv", "json")  # the first is the default
+from .textform import FORMATS, format_partition, format_two_color, parse_two_color
 
 
 def _bool(value: bool) -> str:

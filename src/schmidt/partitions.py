@@ -14,8 +14,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 Parts = tuple[int, ...]
 

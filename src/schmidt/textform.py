@@ -5,7 +5,9 @@ empty partition is written "0".  The written sequence must already be
 weakly decreasing.  Colored partitions attach "r" or "g" to every part,
 for example "2r+1g"; the parts may appear in any order and are read as a
 pair of multisets.  Canonical emission lists parts by size, largest
-first, with red before green on equal sizes.
+first, with red before green on equal sizes.  `FORMATS` names the
+formats a report is written in; it lives here, with the other text forms,
+so that the command line can list them without loading the report layer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 from .partitions import Parts, TwoColorPartition, _unchecked, as_partition
 
 _COLORED_PART = re.compile(r"(\d+)([rg])\Z")
+FORMATS = ("text", "csv", "json")  # report formats; the first is the default
 
 
 class PartitionSyntaxError(ValueError):

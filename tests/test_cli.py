@@ -1,4 +1,5 @@
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,29 @@ def test_module_entry_point():
     assert proc.stdout == "3+2\n"
 
 
+def test_map_and_unmap_start_without_the_report_layer():
+    # -S skips site, which may load typing for reasons of its own
+    code = """
+import sys
+from schmidt.cli import main
+main(["map", "2r+1g"])
+main(["unmap", "3+1"])
+print(sorted({"schmidt.harness", "json", "typing"} & set(sys.modules)))
+main(["render", "2r+1g"])
+print("schmidt.harness" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(schmidt.cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["3+2", "2g+1r", "[]"]
+    assert lines[-2:] == ["schmidt: 3+2", "True"]
+
+
 def assert_usage_error(proc):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -356,6 +380,23 @@ def test_out_of_memory_is_a_usage_error():
 def test_unmap_of_huge_parts_fits_in_one_gib(argv, out):
     # the inverse never draws the diagram, so its cost does not grow with
     # the size of a part
+    proc = run_in_one_gib(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (("map", "1000000000r"), "1000000000+1000000000"),
+        (
+            ("map", "1000000000000000000r+5r+3g"),
+            "1000000000000000003+1000000000000000000+5+5",
+        ),
+    ],
+)
+def test_map_of_huge_red_parts_fits_in_one_gib(argv, out):
+    # red parts are arms: they lengthen rows of the Durfee square and add no
+    # row below it, and only the rows below it are read column by column
     proc = run_in_one_gib(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
 

@@ -102,6 +102,23 @@ def test_schmidt_statistics_of_the_preimage(s):
     assert preimage_statistics(schmidt_to_two_color(s)) == schmidt_statistics(s)
 
 
+def descending(xs):
+    return tuple(sorted(xs, reverse=True))
+
+
+# parts near 10**18 are red only: the forward map's cost grows with the
+# green parts, which become the rows below the Durfee square
+huge_red_two_colors = st.tuples(
+    st.lists(st.integers(1, 10**18), max_size=8).map(descending),
+    st.lists(st.integers(1, 50), max_size=8).map(descending),
+).map(lambda rg: TwoColorPartition(*rg))
+
+
+@given(huge_red_two_colors)
+def test_closed_form_is_the_map_on_huge_red_parts(tc):
+    assert two_color_to_schmidt(tc) == closed_form(tc)
+
+
 huge_partitions = st.lists(st.integers(1, 10**18), max_size=60).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
