@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
-from .partitions import Parts, TwoColorPartition, _unchecked, as_partition, conjugate
+from .partitions import Parts, TwoColorPartition, _Frozen, _unchecked, as_partition, conjugate
 
 
 class NotInImageError(ValueError):
@@ -38,42 +37,38 @@ def _check_counts(name: str, seq: tuple[int, ...], strictly: bool) -> None:
         raise ValueError(f"{name} must be {order} decreasing: {seq!r}")
 
 
-@dataclass(frozen=True)
-class PaddedPair:
+class PaddedPair(_Frozen):
     """Red and green part sequences padded with zeros to a common length."""
 
-    red: tuple[int, ...]
-    green: tuple[int, ...]
+    __slots__ = __match_args__ = ("red", "green")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "red", tuple(self.red))
-        object.__setattr__(self, "green", tuple(self.green))
-        if len(self.red) != len(self.green):
+    def __init__(self, red: tuple[int, ...], green: tuple[int, ...]) -> None:
+        red, green = tuple(red), tuple(green)
+        if len(red) != len(green):
             raise ValueError("padded sequences must have equal length")
-        _check_counts("padded red", self.red, strictly=False)
-        _check_counts("padded green", self.green, strictly=False)
-        if self.red[-1] < 1 and self.green[-1] < 1:
+        _check_counts("padded red", red, strictly=False)
+        _check_counts("padded green", green, strictly=False)
+        if red[-1] < 1 and green[-1] < 1:
             raise ValueError("at least one color must be zero-free")
+        super().__init__(red, green)
 
     @property
     def m(self) -> int:
         return len(self.red)
 
 
-@dataclass(frozen=True)
-class DistinctPair:
+class DistinctPair(_Frozen):
     """Strictly decreasing arm and leg lengths for a diagonal of cells."""
 
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
+    __slots__ = __match_args__ = ("arms", "legs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arms", tuple(self.arms))
-        object.__setattr__(self, "legs", tuple(self.legs))
-        if len(self.arms) != len(self.legs):
+    def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]) -> None:
+        arms, legs = tuple(arms), tuple(legs)
+        if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
-        _check_counts("arms", self.arms, strictly=True)
-        _check_counts("legs", self.legs, strictly=True)
+        _check_counts("arms", arms, strictly=True)
+        _check_counts("legs", legs, strictly=True)
+        super().__init__(arms, legs)
 
     @property
     def m(self) -> int:

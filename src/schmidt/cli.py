@@ -15,6 +15,7 @@ module loads only what `map` and `unmap` use: the report layer
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
@@ -44,6 +45,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not report.ok and not out.endswith(report.summary):
         print(report.summary, file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def integer(text: str) -> int:
+    """Type of the integer options: ASCII digits after an optional "-"; not "+3" or "1_0"."""
+    if re.fullmatch(r"-?[0-9]+", text, re.ASCII) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -82,23 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cmd = sub.add_parser("table", help="print the full correspondence at one weight")
-    cmd.add_argument("--n", type=int, required=True)
+    cmd.add_argument("--n", type=integer, required=True)
     cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().table_text(a.n))
 
     cmd = sub.add_parser("verify", help="compare counts and run round trips")
-    cmd.add_argument("--max-n", type=int, default=20)
-    cmd.add_argument("--roundtrip-cutoff", type=int, default=12)
+    cmd.add_argument("--max-n", type=integer, default=20)
+    cmd.add_argument("--roundtrip-cutoff", type=integer, default=12)
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(
         func=_cmd_report, build=lambda a: _harness().verify_report(a.max_n, a.roundtrip_cutoff)
     )
 
     cmd = sub.add_parser("refined", help="run the four-parameter refinement grid")
-    cmd.add_argument("--max-n", type=int, default=8)
-    cmd.add_argument("--max-r", type=int, default=3)
-    cmd.add_argument("--max-l", type=int, default=3)
-    cmd.add_argument("--max-p", type=int, default=3)
-    cmd.add_argument("--max-q", type=int, default=3)
+    cmd.add_argument("--max-n", type=integer, default=8)
+    cmd.add_argument("--max-r", type=integer, default=3)
+    cmd.add_argument("--max-l", type=integer, default=3)
+    cmd.add_argument("--max-p", type=integer, default=3)
+    cmd.add_argument("--max-q", type=integer, default=3)
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(
         func=_cmd_report,

@@ -15,7 +15,6 @@ import bisect
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 Parts = tuple[int, ...]
 
@@ -37,8 +36,48 @@ def as_partition(parts: Iterable[int]) -> Parts:
     return p
 
 
+class _Frozen:
+    """Base of the immutable values, whose slots ``__match_args__`` names.
+
+    A subclass sets ``__slots__ = __match_args__`` to two or more names and
+    checks its arguments in ``__init__`` before storing them here.  Values
+    are equal only within one class; hash, repr, copy and pickle read the
+    fields' tuple, and copies and unpickling run the checking constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = property(operator.attrgetter(*cls.__match_args__))  # a tuple, read in C
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _unchecked(cls, a, b):
-    """Build a two-field frozen dataclass ``cls(a, b)`` without its checks.
+    """The one trusted constructor: the `_Frozen` value ``cls(a, b)``, unchecked.
 
     Only for values a step has proved valid; give each field as an exact
     ``tuple``.  The public constructors keep every check for outside input.
@@ -167,16 +206,13 @@ def count_schmidt(n: int) -> int:
     return schmidt_counts(n)[n]
 
 
-@dataclass(frozen=True)
-class TwoColorPartition:
-    """A pair of partitions: the red parts and the green parts."""
+class TwoColorPartition(_Frozen):
+    """A pair of partitions, the red parts and the green parts, each checked by `as_partition`."""
 
-    red: Parts = ()
-    green: Parts = ()
+    __slots__ = __match_args__ = ("red", "green")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "red", as_partition(self.red))
-        object.__setattr__(self, "green", as_partition(self.green))
+    def __init__(self, red: Parts = (), green: Parts = ()) -> None:
+        super().__init__(as_partition(red), as_partition(green))
 
     @property
     def weight(self) -> int:
@@ -252,25 +288,22 @@ def count_two_color(n: int) -> int:
     return two_color_counts(n)[n]
 
 
-@dataclass(frozen=True)
-class RefinedQuery:
+class RefinedQuery(_Frozen):
     """Bounds for the refined counts.
 
     Asks for weight ``n`` with exactly ``r`` red and ``l`` green parts, the
     largest red part at most ``p`` and the largest green part at most ``q``.
+    The constructor checks that n >= 0 and the other four are positive.
     """
 
-    n: int
-    r: int
-    l: int
-    p: int
-    q: int
+    __slots__ = __match_args__ = ("n", "r", "l", "p", "q")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, r: int, l: int, p: int, q: int) -> None:
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        if min(self.r, self.l, self.p, self.q) < 1:
+        if min(r, l, p, q) < 1:
             raise ValueError("r, l, p, q must be positive")
+        super().__init__(n, r, l, p, q)
 
 
 def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:

@@ -114,6 +114,42 @@ def test_table_rejects_negative(capsys):
     assert err
 
 
+INTEGER_OPTIONS = [
+    ("table", "--n"),
+    ("verify", "--max-n"),
+    ("verify", "--roundtrip-cutoff"),
+    ("refined", "--max-n"),
+    ("refined", "--max-r"),
+    ("refined", "--max-l"),
+    ("refined", "--max-p"),
+    ("refined", "--max-q"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("table", "--n", "1_0"),
+        ("table", "--n", " 3"),
+        ("verify", "--max-n", "٣"),
+        ("refined", "--max-n", "３"),
+    ]
+    + [(command, option, value) for command, option in INTEGER_OPTIONS for value in ("+3", "٣")],
+)
+def test_integer_options_take_ascii_digits_only(capsys, command, option, value):
+    # int() alone takes each of these; the message is the one "x" gets
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    message = f"schmidt {command}: error: argument {option}: invalid int value: {value!r}"
+    assert err.splitlines()[-1] == message
+
+
+def test_negative_integer_options_reach_the_library_checks(capsys):
+    assert run_cli(capsys, "verify", "--max-n", "-3") == (2, "", "error: max_n must be positive\n")
+
+
 def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 0
@@ -311,7 +347,7 @@ import sys
 from schmidt.cli import main
 main(["map", "2r+1g"])
 main(["unmap", "3+1"])
-print(sorted({"schmidt.harness", "json", "typing"} & set(sys.modules)))
+print(sorted({"schmidt.harness", "json", "typing", "dataclasses"} & set(sys.modules)))
 main(["render", "2r+1g"])
 print("schmidt.harness" in sys.modules)
 """

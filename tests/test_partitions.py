@@ -1,13 +1,16 @@
+import copy
 import itertools
+import pickle
 import time
 import tracemalloc
 
 import pytest
 
-from schmidt.bijection import DistinctPair, wright_build
+from schmidt.bijection import DistinctPair, PaddedPair, wright_build
 from schmidt.partitions import (
     RefinedQuery,
     TwoColorPartition,
+    _unchecked,
     alternating_sum,
     as_partition,
     conjugate,
@@ -275,6 +278,83 @@ def test_refined_query_validation():
         RefinedQuery(n=-1, r=1, l=1, p=1, q=1)
     with pytest.raises(ValueError):
         RefinedQuery(n=1, r=0, l=1, p=1, q=1)
+
+
+# each immutable value with its exact repr
+VALUES = [
+    (TwoColorPartition((2, 1), (3,)), "TwoColorPartition(red=(2, 1), green=(3,))"),
+    (RefinedQuery(3, 1, 1, 2, 1), "RefinedQuery(n=3, r=1, l=1, p=2, q=1)"),
+    (PaddedPair((2, 1), (3, 0)), "PaddedPair(red=(2, 1), green=(3, 0))"),
+    (DistinctPair((3, 1), (2, 0)), "DistinctPair(arms=(3, 1), legs=(2, 0))"),
+]
+
+
+def fields_of(value):
+    return tuple(getattr(value, name) for name in value.__match_args__)
+
+
+@pytest.mark.parametrize("value,text", VALUES)
+def test_values_are_frozen_and_slotted(value, text):
+    assert repr(value) == text
+    assert not hasattr(value, "__dict__")
+    first = value.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, first, getattr(value, first))
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    with pytest.raises(AttributeError):
+        value.other = 1
+    assert repr(value) == text  # unchanged by the failed writes
+
+
+@pytest.mark.parametrize("value,text", VALUES)
+def test_values_hash_and_compare_by_their_fields(value, text):
+    fields = fields_of(value)
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+    assert value != fields
+
+
+def test_values_of_different_classes_differ():
+    assert PaddedPair((1,), (0,)) != DistinctPair((1,), (0,))
+    assert TwoColorPartition((1,), (1,)) != PaddedPair((1,), (1,))
+
+
+@pytest.mark.parametrize("value,text", VALUES)
+def test_values_copy_and_pickle_through_the_checking_constructor(value, text):
+    assert value.__reduce__() == (type(value), fields_of(value))
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value)
+        assert again == value
+    # the constructor's checks run again: a value built without them fails
+    unsorted = _unchecked(TwoColorPartition, (1, 2), ())
+    for rebuild in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            rebuild(unsorted)
+
+
+def test_values_destructure_in_match():
+    match TwoColorPartition((2, 1), (3,)):
+        case TwoColorPartition(red, green):
+            assert (red, green) == ((2, 1), (3,))
+        case _:
+            pytest.fail("no match")
+    match RefinedQuery(3, 1, 2, 2, 1):
+        case RefinedQuery(n, r, l, p=2, q=q):
+            assert (n, r, l, q) == (3, 1, 2, 1)
+        case _:
+            pytest.fail("no match")
+
+
+def test_constructors_keep_their_signatures():
+    assert TwoColorPartition() == TwoColorPartition((), ()) == TwoColorPartition(red=(), green=())
+    assert TwoColorPartition(green=(1,)) == TwoColorPartition((), (1,))
+    assert RefinedQuery(3, 1, 1, 2, 1) == RefinedQuery(n=3, r=1, l=1, p=2, q=1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        RefinedQuery(-1, 1, 1, 1, 1)
+    for bad in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
+        with pytest.raises(ValueError, match="^r, l, p, q must be positive$"):
+            RefinedQuery(1, *bad)
 
 
 @pytest.mark.parametrize(

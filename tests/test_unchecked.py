@@ -6,7 +6,6 @@ through the public, checking constructor, which is the slow oracle the
 unchecked build replaces.
 """
 
-import dataclasses
 import sys
 
 import hypothesis.strategies as st
@@ -38,7 +37,7 @@ MAX_WEIGHT = 12
 
 def assert_as_checked(value):
     """``value`` equals, and hashes like, its rebuild by the checking constructor."""
-    names = [f.name for f in dataclasses.fields(value)]
+    names = value.__match_args__
     fields = [getattr(value, name) for name in names]
     assert [type(field) for field in fields] == [tuple] * len(names), value
     rebuilt = type(value)(*fields)
