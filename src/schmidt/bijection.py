@@ -82,12 +82,11 @@ def pad_colors(two_color: TwoColorPartition) -> PaddedPair:
     keep them weakly decreasing and nonnegative, and the longer one stays
     zero-free.
     """
-    m = max(two_color.num_red, two_color.num_green)
+    red, green = two_color.red, two_color.green
+    m = max(len(red), len(green))
     if m == 0:
         raise ValueError("cannot pad the empty two-color partition")
-    red = two_color.red + (0,) * (m - two_color.num_red)
-    green = two_color.green + (0,) * (m - two_color.num_green)
-    return _unchecked(PaddedPair, red, green)
+    return _unchecked(PaddedPair, red + (0,) * (m - len(red)), green + (0,) * (m - len(green)))
 
 
 def add_staircase(padded: PaddedPair) -> DistinctPair:
@@ -96,9 +95,10 @@ def add_staircase(padded: PaddedPair) -> DistinctPair:
     Needs no check: a strictly decreasing staircase added to a weakly
     decreasing nonnegative sequence is strictly decreasing and nonnegative.
     """
-    stairs = range(padded.m - 1, -1, -1)
-    arms = list(map(operator.add, padded.red, stairs))
-    legs = list(map(operator.add, padded.green, stairs))
+    red, green = padded.red, padded.green
+    stairs = range(len(red) - 1, -1, -1)
+    arms = list(map(operator.add, red, stairs))
+    legs = list(map(operator.add, green, stairs))
     return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
@@ -282,7 +282,7 @@ def trace_forward(
 
 def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
     """Full forward map; the result's alternating sum equals the weight."""
-    if two_color.weight == 0:
+    if not (two_color.red or two_color.green):
         return ()
     return trace_forward(two_color)[-1]
 

@@ -6,10 +6,14 @@ on a number too large to process.
 Every subcommand is a builder plus one of two handlers: ``build`` makes
 its text (`_cmd_text`) or its report (`_cmd_report`) from the arguments.
 The argument parser is built once per process, on the first call of
-`build_parser`, and every later `main` call reuses it.  Importing this
+`build_parser`, and every later `main` call reuses it.  An argv that
+names a subcommand is parsed by that subcommand's parser alone; the
+top-level parser only prints help or a usage error.  Importing this
 module loads only what `map` and `unmap` use: the report layer
 (`harness`, and `json` with it) is imported by the builders of `table`,
 `verify`, `refined` and `render` and by `_cmd_report`, when they run.
+The builders of `table`, `verify` and `refined` first count the objects
+they will enumerate and refuse a run of more than `ENTRY_LIMIT`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import re
 import sys
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
+from .partitions import two_color_counts
 from .textform import FORMATS, format_partition, format_two_color, parse_partition, parse_two_color
 
 
@@ -54,7 +59,60 @@ def integer(text: str) -> int:
     return int(text)
 
 
+# Most objects a table, verify or refined run may enumerate.  The largest
+# table allowed, --n 27 (240,840 objects), takes about 13 s and 240 MB
+# (CPython 3.11, one core of a 2-vCPU machine).
+ENTRY_LIMIT = 250_000
+
+
+def _check_cost(command: str, first: int, last: int, sides: int) -> None:
+    """Refuse to enumerate ``sides`` sides of each weight first..last when
+    that is more than `ENTRY_LIMIT` objects.
+
+    Each side of weight n has t(n) objects, and t increases, so ``sides``
+    times t(k) for any k <= last is a lower bound.  Counting stops at the
+    first weight where the running total or that bound passes the limit,
+    so a huge ``last`` never builds a huge table.  A bound the library
+    rejects, or an empty range, is left to the library.
+    """
+    if last < max(first, 0):
+        return
+    top = 16
+    while True:
+        total = 0
+        for n, t in enumerate(two_color_counts(min(last, top))):
+            if n >= first:
+                total += sides * t
+            count = max(total, sides * t)
+            if count > ENTRY_LIMIT:
+                more = "" if n == last else "more than "
+                raise ValueError(
+                    f"{command} would enumerate {more}{count:,} objects;"
+                    f" the limit is {ENTRY_LIMIT:,}"
+                )
+        if top >= last:
+            return
+        top *= 2
+
+
+def _table(a: argparse.Namespace) -> str:
+    _check_cost("table", a.n, a.n, sides=1)
+    return _harness().table_text(a.n)
+
+
+def _verify(a: argparse.Namespace):
+    # both sides of each weight up to the cutoff are enumerated
+    _check_cost("verify", 1, min(a.max_n, a.roundtrip_cutoff), sides=2)
+    return _harness().verify_report(a.max_n, a.roundtrip_cutoff)
+
+
+def _refined(a: argparse.Namespace):
+    _check_cost("refined", 1, a.max_n, sides=2)
+    return _harness().refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q)
+
+
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     cheap.  Callers share it, so treat it as read-only: `parse_args`
     makes a fresh namespace each time and leaves the parser unchanged.
     `main` calls this on every call, so a wrapper put over it still sees
-    one call per `main` call.
+    one call per `main` call.  Each subcommand's parser is kept by name
+    for `main`.
     """
-    global _parser
+    global _parser, _commands
     if _parser is not None:
         return _parser
     parser = argparse.ArgumentParser(
@@ -74,55 +133,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-color partitions, Schmidt partitions, and the map between them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    cmd = sub.add_parser("map", help="map a colored partition, e.g. 2r+1g")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    cmd = add("map", help="map a colored partition, e.g. 2r+1g")
     cmd.add_argument("colored")
     cmd.set_defaults(
         func=_cmd_text,
         build=lambda a: format_partition(two_color_to_schmidt(parse_two_color(a.colored))),
     )
 
-    cmd = sub.add_parser("unmap", help="invert the map on a plain partition, e.g. 3+2")
+    cmd = add("unmap", help="invert the map on a plain partition, e.g. 3+2")
     cmd.add_argument("partition")
     cmd.set_defaults(
         func=_cmd_text,
         build=lambda a: format_two_color(schmidt_to_two_color(parse_partition(a.partition))),
     )
 
-    cmd = sub.add_parser("table", help="print the full correspondence at one weight")
+    cmd = add("table", help="print the full correspondence at one weight")
     cmd.add_argument("--n", type=integer, required=True)
-    cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().table_text(a.n))
+    cmd.set_defaults(func=_cmd_text, build=_table)
 
-    cmd = sub.add_parser("verify", help="compare counts and run round trips")
+    cmd = add("verify", help="compare counts and run round trips")
     cmd.add_argument("--max-n", type=integer, default=20)
     cmd.add_argument("--roundtrip-cutoff", type=integer, default=12)
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
-    cmd.set_defaults(
-        func=_cmd_report, build=lambda a: _harness().verify_report(a.max_n, a.roundtrip_cutoff)
-    )
+    cmd.set_defaults(func=_cmd_report, build=_verify)
 
-    cmd = sub.add_parser("refined", help="run the four-parameter refinement grid")
+    cmd = add("refined", help="run the four-parameter refinement grid")
     cmd.add_argument("--max-n", type=integer, default=8)
     cmd.add_argument("--max-r", type=integer, default=3)
     cmd.add_argument("--max-l", type=integer, default=3)
     cmd.add_argument("--max-p", type=integer, default=3)
     cmd.add_argument("--max-q", type=integer, default=3)
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
-    cmd.set_defaults(
-        func=_cmd_report,
-        build=lambda a: _harness().refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q),
-    )
+    cmd.set_defaults(func=_cmd_report, build=_refined)
 
-    cmd = sub.add_parser("render", help="show every intermediate of the forward map")
+    cmd = add("render", help="show every intermediate of the forward map")
     cmd.add_argument("colored")
     cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().render_text(a.colored))
 
-    _parser = parser
+    _parser, _commands = parser, commands
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A subcommand's parser parses its own arguments; through the top-level
+    # parser, whose subparsers action calls it, argv would be parsed twice.
+    command = _commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # parse errors and the library's bound checks

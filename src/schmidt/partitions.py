@@ -49,10 +49,12 @@ class _Frozen:
 
     def __init_subclass__(cls) -> None:
         cls._fields = property(operator.attrgetter(*cls.__match_args__))  # a tuple, read in C
+        # each slot's own setter, which bypasses the raising __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -83,9 +85,9 @@ def _unchecked(cls, a, b):
     ``tuple``.  The public constructors keep every check for outside input.
     """
     value = object.__new__(cls)
-    first, second = cls.__match_args__
-    object.__setattr__(value, first, a)
-    object.__setattr__(value, second, b)
+    set_first, set_second = cls._setters
+    set_first(value, a)
+    set_second(value, b)
     return value
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import schmidt.cli
 import schmidt.harness
-from schmidt.cli import build_parser, main
+from schmidt.cli import ENTRY_LIMIT, build_parser, main
 from schmidt.harness import (
     RefinedRecord,
     RefinedReport,
@@ -81,6 +81,51 @@ def test_unmap(capsys, plain, colored):
 
 
 @pytest.mark.parametrize(
+    "argv,out",
+    [
+        (("map", "2r+1g"), "3+2\n"),
+        (("unmap", "3+1"), "2g+1r\n"),
+        (("table", "--n", "3"), GOLDEN_TABLE.read_text()),
+    ],
+)
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(capsys, monkeypatch, argv, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [(), ("nosuch",)])
+def test_no_or_unknown_command_gets_the_top_level_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: schmidt [-h] {map,unmap,table,verify,refined,render} ...\n")
+    assert err.splitlines()[-1].startswith("schmidt: error: ")
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+    assert listed == ["map", "unmap", "table", "verify", "refined", "render"]
+
+
+def test_an_extra_argument_is_reported_by_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "1r", "x"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: schmidt map [-h] colored\n")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["schmidt map: error: unrecognized arguments: x"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [("map", "2x"), ("unmap", "1+2"), ("render", "3q"), ("unmap", "²")],
 )
@@ -112,6 +157,28 @@ def test_table_rejects_negative(capsys):
     code, _, err = run_cli(capsys, "table", "--n", "-1")
     assert code == 2
     assert err
+
+
+def test_entry_limit_counts_the_objects_each_command_enumerates(capsys, monkeypatch):
+    # t(1), ..., t(4) = 2, 5, 10, 20 objects on each side
+    monkeypatch.setattr(schmidt.cli, "ENTRY_LIMIT", 10)
+
+    def refused(command, count):
+        return (2, "", f"error: {command} would enumerate {count} objects; the limit is 10\n")
+
+    # table enumerates one side of one weight
+    assert run_cli(capsys, "table", "--n", "3")[0] == 0
+    assert run_cli(capsys, "table", "--n", "4") == refused("table", 20)
+    # a later weight has more objects, so counting stops at weight 4
+    assert run_cli(capsys, "table", "--n", "5") == refused("table", "more than 20")
+    # verify enumerates both sides of each weight up to the cutoff
+    assert run_cli(capsys, "verify", "--max-n", "5", "--roundtrip-cutoff", "1")[0] == 0
+    assert run_cli(capsys, "verify", "--max-n", "2", "--roundtrip-cutoff", "5") == refused(
+        "verify", 14
+    )
+    # refined enumerates both sides of each weight up to max_n
+    assert run_cli(capsys, "refined", "--max-n", "1")[0] == 0
+    assert run_cli(capsys, "refined", "--max-n", "3") == refused("refined", "more than 14")
 
 
 INTEGER_OPTIONS = [
@@ -387,7 +454,7 @@ def test_number_too_large_is_a_usage_error(argv):
     assert proc.stdout == ""
 
 
-def run_in_one_gib(*argv, limit=1 << 30):
+def run_in_one_gib(*argv, limit=1 << 30, timeout=None):
     resource = pytest.importorskip("resource")
 
     def limit_address_space():  # runs in the child only
@@ -398,7 +465,28 @@ def run_in_one_gib(*argv, limit=1 << 30):
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "60"),
+        ("table", "--n", HUGE),
+        (
+            "refined", "--max-n", "40", "--max-r", "2", "--max-l", "2", "--max-p", "2", "--max-q", "2",
+        ),
+        ("refined", "--max-n", HUGE),
+        ("verify", "--max-n", "40", "--roundtrip-cutoff", "40"),
+    ],
+)
+def test_a_run_above_the_entry_limit_is_refused_at_once(argv):
+    # each of these used to enumerate for minutes or more
+    proc = run_in_one_gib(*argv, timeout=5)
+    assert_usage_error(proc)
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f" objects; the limit is {ENTRY_LIMIT:,}\n")
 
 
 def test_out_of_memory_is_a_usage_error():
