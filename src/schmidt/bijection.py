@@ -9,9 +9,13 @@ diagram's 2-modular filling into hooks cornered on the diagonal, and
 finally subtract a staircase from the interleaved hook counts.  Every
 step is exposed on its own so that each can be tested and inverted
 independently.  `trace_forward` is the one composition of the forward
-steps; the composites are `two_color_to_schmidt` and
-`schmidt_to_two_color`.  Only the forward side draws the diagram, with
-`wright_build` and `wright_split`; the inverse reads the pair off the hooks.
+steps, and `two_color_to_schmidt` returns its last value.  The inverse,
+`schmidt_to_two_color`, is the closed form: the preimage's parts are the
+alternating suffix sums of the Schmidt partition, read in O(parts).  The
+inverse steps stay, composed once in `trace_backward`, as the paper's
+construction and as the slow path `verify` checks the closed form
+against.  Only the forward side draws the diagram, with `wright_build`
+and `wright_split`; the inverse steps read the pair off the hooks.
 """
 
 from __future__ import annotations
@@ -280,6 +284,18 @@ def trace_forward(
     return padded, pair, shape, hooks, hooks_to_schmidt(hooks)
 
 
+def trace_backward(partition: Parts) -> tuple[tuple[int, ...], DistinctPair, TwoColorPartition]:
+    """Every intermediate of the inverse steps: hooks, pair, preimage.
+
+    The step-by-step inverse that `schmidt_to_two_color` computes in
+    closed form.  Raises ValueError on the empty partition, which has no
+    hooks.
+    """
+    hooks = schmidt_to_hooks(partition)
+    pair = hook_compose(hooks)
+    return hooks, pair, remove_staircase(pair)
+
+
 def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
     """Full forward map; the result's alternating sum equals the weight."""
     if not (two_color.red or two_color.green):
@@ -288,11 +304,29 @@ def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
 
 
 def schmidt_to_two_color(partition: Parts) -> TwoColorPartition:
-    """Full inverse map, defined for every ordinary partition."""
-    p = tuple(partition)
-    if not p:
-        return TwoColorPartition((), ())
-    return remove_staircase(hook_compose(schmidt_to_hooks(p)))
+    """Full inverse map, defined for every ordinary partition, in closed form.
+
+    The image of a two-color partition is (r1+g1, r1+g2, r2+g2, ...,
+    rm+gm, rm+g(m+1)), with g and r zero past each color's length, so the
+    alternating suffix sums of s = (s1, s2, ...) telescope to its parts:
+    s(2j-1) - s(2j) + s(2j+1) - ... = g_j and s(2j) - s(2j+1) + ... = r_j.
+    Each difference of neighbours is nonnegative and the last part is
+    positive, so both colors come out weakly decreasing and nonnegative,
+    with their zeros last.  The cost is O(parts) in C-level maps, whatever
+    the size of a part; `trace_backward` gives the same preimage step by
+    step.
+    """
+    p = as_partition(partition)
+    signed = list(p)
+    signed[1::2] = map(operator.neg, p[1::2])
+    # sums[i] is the signed suffix sum from part i on
+    sums = list(itertools.accumulate(reversed(signed)))
+    sums.reverse()
+    green = sums[0::2]
+    red = list(map(operator.neg, sums[1::2]))
+    del green[len(green) - green.count(0) :]
+    del red[len(red) - red.count(0) :]
+    return _unchecked(TwoColorPartition, tuple(red), tuple(green))
 
 
 def render_two_modular(shape: Parts) -> str:

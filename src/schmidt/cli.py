@@ -13,7 +13,9 @@ module loads only what `map` and `unmap` use: the report layer
 (`harness`, and `json` with it) is imported by the builders of `table`,
 `verify`, `refined` and `render` and by `_cmd_report`, when they run.
 The builders of `table`, `verify` and `refined` first count the objects
-they will enumerate and refuse a run of more than `ENTRY_LIMIT`.
+they will enumerate and refuse a run of more than `ENTRY_LIMIT`; `refined`
+also refuses a grid of more than `ENTRY_LIMIT` cells, and `verify` count
+tables of more than `TABLE_LIMIT` additions.
 """
 
 from __future__ import annotations
@@ -100,15 +102,31 @@ def _table(a: argparse.Namespace) -> str:
     return _harness().table_text(a.n)
 
 
+# Most additions verify's count tables may take, about max_n squared.  The
+# largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).
+TABLE_LIMIT = 25_000_000
+
+
 def _verify(a: argparse.Namespace):
     # both sides of each weight up to the cutoff are enumerated
     _check_cost("verify", 1, min(a.max_n, a.roundtrip_cutoff), sides=2)
+    additions = max(a.max_n, 0) ** 2  # a nonpositive max_n is left to the library
+    if additions > TABLE_LIMIT:
+        raise ValueError(
+            f"verify would build its count tables in {additions:,} additions;"
+            f" the limit is {TABLE_LIMIT:,}"
+        )
     return _harness().verify_report(a.max_n, a.roundtrip_cutoff)
 
 
 def _refined(a: argparse.Namespace):
     _check_cost("refined", 1, a.max_n, sides=2)
-    return _harness().refined_report(a.max_n, a.max_r, a.max_l, a.max_p, a.max_q)
+    bounds = (a.max_n, a.max_r, a.max_l, a.max_p, a.max_q)
+    # one record per weight and cell; a bound the library rejects is left to it
+    cells = a.max_n * a.max_r * a.max_l * a.max_p * a.max_q
+    if min(bounds) >= 1 and cells > ENTRY_LIMIT:
+        raise ValueError(f"refined would report {cells:,} cells; the limit is {ENTRY_LIMIT:,}")
+    return _harness().refined_report(*bounds)
 
 
 _parser: argparse.ArgumentParser | None = None

@@ -21,7 +21,13 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
 
-from .bijection import render_two_modular, schmidt_to_two_color, trace_forward, two_color_to_schmidt
+from .bijection import (
+    render_two_modular,
+    schmidt_to_two_color,
+    trace_backward,
+    trace_forward,
+    two_color_to_schmidt,
+)
 from .partitions import (
     Parts,
     RefinedQuery,
@@ -191,13 +197,17 @@ def _round_trips(
     back: Callable,
     holds: Callable[..., bool],
     show: Callable[..., str],
+    steps: Callable | None = None,
 ) -> tuple[int, str | None]:
     # Map each object there and back, stopping at the first whose image
-    # fails ``holds`` or does not map back to it, or whose maps raise.
-    # Returns the objects checked and a witness for that first one.
+    # differs from the one ``steps`` builds step by step (when given), fails
+    # ``holds`` or does not map back to it, or whose maps raise.  Returns
+    # the objects checked and a witness for that first one.
     for checked, obj in enumerate(objects, 1):
         try:
             image = there(obj)
+            if steps is not None and steps(obj) != image:
+                return checked, f"n={n}: closed-form inverse disagrees with the steps at {show(obj)}"
             if holds(image) and back(image) == obj:
                 continue
             what = "failed"
@@ -215,8 +225,10 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     is built once, for every n up to max_n, without enumerating.  Only for
     n up to the cutoff are both sides enumerated: each list's length is
     checked against its count, and the round trips run exhaustively in
-    both directions.  A map that raises fails its round trip, and the
-    witness names the exception.
+    both directions.  The closed-form inverse is also compared with the
+    inverse steps of `trace_backward` on every Schmidt partition there.  A
+    map that raises fails its round trip, and the witness names the
+    exception.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -255,6 +267,7 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
                 two_color_to_schmidt,
                 lambda preimage: preimage.weight == n,
                 format_partition,
+                steps=lambda partition: trace_backward(partition)[-1],
             )
             checked += back_checked
             failure = failure or back_failure

@@ -177,8 +177,52 @@ def test_entry_limit_counts_the_objects_each_command_enumerates(capsys, monkeypa
         "verify", 14
     )
     # refined enumerates both sides of each weight up to max_n
-    assert run_cli(capsys, "refined", "--max-n", "1")[0] == 0
+    one_cell = ("--max-r", "1", "--max-l", "1", "--max-p", "1", "--max-q", "1")
+    assert run_cli(capsys, "refined", "--max-n", "1", *one_cell)[0] == 0
     assert run_cli(capsys, "refined", "--max-n", "3") == refused("refined", "more than 14")
+
+
+def test_entry_limit_counts_the_cells_refined_reports(capsys, monkeypatch):
+    monkeypatch.setattr(schmidt.cli, "ENTRY_LIMIT", 10)
+    grid = ("--max-r", "1", "--max-l", "1", "--max-p", "2", "--max-q")
+    # one record per weight and (r, l, p, q) cell: 1 * 1 * 1 * 2 * q, and
+    # 2 * t(1) = 4 objects
+    assert run_cli(capsys, "refined", "--max-n", "1", *grid, "5")[0] == 0
+    assert run_cli(capsys, "refined", "--max-n", "1", *grid, "6") == (
+        2,
+        "",
+        "error: refined would report 12 cells; the limit is 10\n",
+    )
+    # the objects are counted first, and a bound below 1 is left to the library
+    assert run_cli(capsys, "refined", "--max-n", "3", *grid, "6")[2].endswith(" objects; the limit is 10\n")
+    assert run_cli(capsys, "refined", "--max-n", "1", "--max-r", "-5", "--max-l", "-5") == (
+        2,
+        "",
+        "error: all grid bounds must be positive\n",
+    )
+
+
+def test_table_limit_counts_the_additions_of_verify(capsys, monkeypatch):
+    monkeypatch.setattr(schmidt.cli, "TABLE_LIMIT", 100)
+    assert run_cli(capsys, "verify", "--max-n", "10", "--roundtrip-cutoff", "0")[0] == 0
+    assert run_cli(capsys, "verify", "--max-n", "11", "--roundtrip-cutoff", "0") == (
+        2,
+        "",
+        "error: verify would build its count tables in 121 additions; the limit is 100\n",
+    )
+    assert run_cli(capsys, "verify", "--max-n", "-11") == (2, "", "error: max_n must be positive\n")
+
+
+def test_table_limit_allows_verify_up_to_5000(capsys, monkeypatch):
+    # the report itself is stubbed: the real one at 5000 takes seconds
+    monkeypatch.setattr("schmidt.harness.verify_report", lambda *a, **k: BROKEN_VERIFY)
+    assert run_cli(capsys, "verify", "--max-n", "5000", "--roundtrip-cutoff", "0")[0] == 1
+    assert run_cli(capsys, "verify", "--max-n", "5001", "--roundtrip-cutoff", "0") == (
+        2,
+        "",
+        "error: verify would build its count tables in 25,010,001 additions;"
+        " the limit is 25,000,000\n",
+    )
 
 
 INTEGER_OPTIONS = [
@@ -487,6 +531,26 @@ def test_a_run_above_the_entry_limit_is_refused_at_once(argv):
     assert_usage_error(proc)
     assert proc.stdout == ""
     assert proc.stderr.endswith(f" objects; the limit is {ENTRY_LIMIT:,}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("refined", "--max-n", "1", "--max-r", "1000", "--max-l", "1000", "--max-p", "1000", "--max-q", "10"),
+            f"error: refined would report 10,000,000,000 cells; the limit is {ENTRY_LIMIT:,}\n",
+        ),
+        (
+            ("verify", "--max-n", "100000", "--roundtrip-cutoff", "0"),
+            "error: verify would build its count tables in 10,000,000,000 additions;"
+            " the limit is 25,000,000\n",
+        ),
+    ],
+)
+def test_a_grid_or_table_above_its_limit_is_refused_at_once(argv, message):
+    # the grid ran out of memory under 1 GiB, and the tables ran for about an hour
+    proc = run_in_one_gib(*argv, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_out_of_memory_is_a_usage_error():

@@ -14,7 +14,9 @@ import time
 import hypothesis.strategies as st
 from hypothesis import given
 
-from schmidt.bijection import schmidt_to_two_color, two_color_to_schmidt
+import schmidt.harness
+from schmidt.bijection import schmidt_to_two_color, trace_backward, two_color_to_schmidt
+from schmidt.cli import main
 from schmidt.partitions import TwoColorPartition, enumerate_schmidt, enumerate_two_color
 
 MAX_WEIGHT = 12
@@ -127,6 +129,47 @@ huge_partitions = st.lists(st.integers(1, 10**18), max_size=60).map(
 @given(huge_partitions)
 def test_closed_inverse_is_the_inverse_on_huge_parts(s):
     assert schmidt_to_two_color(s) == closed_inverse(s)
+
+
+def test_closed_inverse_is_the_inverse_steps_exhaustively():
+    for n in range(1, MAX_WEIGHT + 1):
+        for s in enumerate_schmidt(n):
+            assert schmidt_to_two_color(s) == trace_backward(s)[-1]
+
+
+@given(huge_partitions.filter(bool))
+def test_closed_inverse_is_the_inverse_steps_on_huge_parts(s):
+    assert schmidt_to_two_color(s) == trace_backward(s)[-1]
+
+
+def verify_with_inverse_steps(capsys, monkeypatch, steps):
+    monkeypatch.setattr(schmidt.harness, "trace_backward", steps)
+    code = main(["verify", "--max-n", "4", "--roundtrip-cutoff", "4"])
+    out, err = capsys.readouterr()
+    return code, [line for line in out.splitlines() if line.startswith("FAIL:")], err
+
+
+def test_verify_reports_closed_inverse_disagreeing_with_the_steps(capsys, monkeypatch):
+    def wrong(partition):
+        hooks, pair, preimage = trace_backward(partition)
+        if partition == (2, 1):
+            preimage = TwoColorPartition((2,), (1,))
+        return hooks, pair, preimage
+
+    code, fails, err = verify_with_inverse_steps(capsys, monkeypatch, wrong)
+    assert (code, err) == (1, "")
+    assert fails == ["FAIL: n=2: closed-form inverse disagrees with the steps at 2+1"]
+
+
+def test_verify_reports_raising_inverse_steps_as_a_witness(capsys, monkeypatch):
+    def raising(partition):
+        if partition == (2, 1):
+            raise ValueError("boom")
+        return trace_backward(partition)
+
+    code, fails, err = verify_with_inverse_steps(capsys, monkeypatch, raising)
+    assert (code, err) == (1, "")
+    assert fails == ["FAIL: n=2: round trip raised ValueError: boom at 2+1"]
 
 
 def test_unmap_of_parts_near_a_quintillion_is_fast():

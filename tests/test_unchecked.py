@@ -15,10 +15,8 @@ from hypothesis import given
 import schmidt.bijection
 import schmidt.partitions
 from schmidt.bijection import (
-    hook_compose,
-    remove_staircase,
-    schmidt_to_hooks,
     schmidt_to_two_color,
+    trace_backward,
     trace_forward,
     two_color_to_schmidt,
     wright_split,
@@ -55,9 +53,10 @@ def check_forward_steps(tc):
 
 
 def check_inverse_steps(partition):
-    pair = hook_compose(schmidt_to_hooks(partition))
+    _, pair, preimage = trace_backward(partition)
     assert_as_checked(pair)
-    assert_as_checked(remove_staircase(pair))
+    assert_as_checked(preimage)
+    assert_as_checked(schmidt_to_two_color(partition))
 
 
 @pytest.mark.parametrize("n", range(1, MAX_WEIGHT + 1))
