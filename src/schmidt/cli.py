@@ -12,10 +12,10 @@ top-level parser only prints help or a usage error.  Importing this
 module loads only what `map` and `unmap` use: the report layer
 (`harness`, and `json` with it) is imported by the builders of `table`,
 `verify`, `refined` and `render` and by `_cmd_report`, when they run.
-The builders of `table`, `verify` and `refined` first count the objects
-they will enumerate and refuse a run of more than `ENTRY_LIMIT`; `refined`
-also refuses a grid of more than `ENTRY_LIMIT` cells, and `verify` count
-tables of more than `TABLE_LIMIT` additions.
+The builders of `table`, `verify`, `refined` and `render` first count
+their work and, through `_refuse`, refuse more than `ENTRY_LIMIT` objects
+(`table`, `verify`, `refined`), grid cells (`refined`) or diagram cells
+(`render`), or `TABLE_LIMIT` additions for `verify`'s count tables.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 import sys
 
 from .bijection import schmidt_to_two_color, two_color_to_schmidt
-from .partitions import two_color_counts
+from .partitions import count_two_color
 from .textform import FORMATS, format_partition, format_two_color, parse_partition, parse_two_color
 
 
@@ -61,10 +61,21 @@ def integer(text: str) -> int:
     return int(text)
 
 
-# Most objects a table, verify or refined run may enumerate.  The largest
-# table allowed, --n 27 (240,840 objects), takes about 13 s and 240 MB
-# (CPython 3.11, one core of a 2-vCPU machine).
+# Most objects a table, verify or refined run may enumerate, and most
+# cells a refined grid or a render may hold.  The largest table allowed,
+# --n 27 (240,840 objects), takes about 13 s and 240 MB (CPython 3.11, one
+# core of a 2-vCPU machine).
 ENTRY_LIMIT = 250_000
+# Most additions verify's count tables may take, about max_n squared.  The
+# largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).
+TABLE_LIMIT = 25_000_000
+
+
+def _refuse(work: str, count: int, limit: int) -> None:
+    """Raise the one-line refusal when ``count`` passes ``limit``; ``work``
+    says what would be done, with one field for the count."""
+    if count > limit:
+        raise ValueError(f"{work.format(count)}; the limit is {limit:,}")
 
 
 def _check_cost(command: str, first: int, last: int, sides: int) -> None:
@@ -72,29 +83,17 @@ def _check_cost(command: str, first: int, last: int, sides: int) -> None:
     that is more than `ENTRY_LIMIT` objects.
 
     Each side of weight n has t(n) objects, and t increases, so ``sides``
-    times t(k) for any k <= last is a lower bound.  Counting stops at the
-    first weight where the running total or that bound passes the limit,
-    so a huge ``last`` never builds a huge table.  A bound the library
-    rejects, or an empty range, is left to the library.
+    times t(n) for any n <= last is a lower bound.  Counting stops at the
+    first weight where the running total or that bound passes the limit;
+    t grows without bound, so at a limit of 250,000 that is by weight 28
+    however large ``last`` is.  An empty range is left to the library.
     """
-    if last < max(first, 0):
-        return
-    top = 16
-    while True:
-        total = 0
-        for n, t in enumerate(two_color_counts(min(last, top))):
-            if n >= first:
-                total += sides * t
-            count = max(total, sides * t)
-            if count > ENTRY_LIMIT:
-                more = "" if n == last else "more than "
-                raise ValueError(
-                    f"{command} would enumerate {more}{count:,} objects;"
-                    f" the limit is {ENTRY_LIMIT:,}"
-                )
-        if top >= last:
-            return
-        top *= 2
+    total = 0
+    for n in range(1, last + 1):
+        t = sides * count_two_color(n)
+        total += t if n >= first else 0
+        more = "" if n == last else "more than "
+        _refuse(f"{command} would enumerate {more}{{:,}} objects", max(total, t), ENTRY_LIMIT)
 
 
 def _table(a: argparse.Namespace) -> str:
@@ -102,20 +101,11 @@ def _table(a: argparse.Namespace) -> str:
     return _harness().table_text(a.n)
 
 
-# Most additions verify's count tables may take, about max_n squared.  The
-# largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).
-TABLE_LIMIT = 25_000_000
-
-
 def _verify(a: argparse.Namespace):
-    # both sides of each weight up to the cutoff are enumerated
+    # both sides of each weight up to the cutoff are enumerated, and the count
+    # tables take max_n² additions; a nonpositive max_n is left to the library
     _check_cost("verify", 1, min(a.max_n, a.roundtrip_cutoff), sides=2)
-    additions = max(a.max_n, 0) ** 2  # a nonpositive max_n is left to the library
-    if additions > TABLE_LIMIT:
-        raise ValueError(
-            f"verify would build its count tables in {additions:,} additions;"
-            f" the limit is {TABLE_LIMIT:,}"
-        )
+    _refuse("verify would build its count tables in {:,} additions", max(a.max_n, 0) ** 2, TABLE_LIMIT)
     return _harness().verify_report(a.max_n, a.roundtrip_cutoff)
 
 
@@ -123,14 +113,22 @@ def _refined(a: argparse.Namespace):
     _check_cost("refined", 1, a.max_n, sides=2)
     bounds = (a.max_n, a.max_r, a.max_l, a.max_p, a.max_q)
     # one record per weight and cell; a bound the library rejects is left to it
-    cells = a.max_n * a.max_r * a.max_l * a.max_p * a.max_q
-    if min(bounds) >= 1 and cells > ENTRY_LIMIT:
-        raise ValueError(f"refined would report {cells:,} cells; the limit is {ENTRY_LIMIT:,}")
+    cells = a.max_n * a.max_r * a.max_l * a.max_p * a.max_q if min(bounds) >= 1 else 0
+    _refuse("refined would report {:,} cells", cells, ENTRY_LIMIT)
     return _harness().refined_report(*bounds)
 
 
+def _render(a: argparse.Namespace) -> str:
+    # the diagram of a weight-w pair with m = max(#red, #green) holds the
+    # parts plus a staircase on each side plus the diagonal: w + m² cells
+    two_color = parse_two_color(a.colored)
+    m = max(two_color.num_red, two_color.num_green)
+    _refuse("render would draw {:,} cells", two_color.weight + m * m, ENTRY_LIMIT)
+    return _harness().render_text(a.colored)
+
+
 _parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
+_commands: dict[str, argparse.ArgumentParser] = {}  # argparse's own, by name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     cheap.  Callers share it, so treat it as read-only: `parse_args`
     makes a fresh namespace each time and leaves the parser unchanged.
     `main` calls this on every call, so a wrapper put over it still sees
-    one call per `main` call.  Each subcommand's parser is kept by name
-    for `main`.
+    one call per `main` call.  `main` finds each subcommand's parser in
+    argparse's own map of them by name.
     """
     global _parser, _commands
     if _parser is not None:
@@ -151,37 +149,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-color partitions, Schmidt partitions, and the map between them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-
-    def add(name: str, help: str) -> argparse.ArgumentParser:
-        commands[name] = sub.add_parser(name, help=help)
-        return commands[name]
-
-    cmd = add("map", help="map a colored partition, e.g. 2r+1g")
+    cmd = sub.add_parser("map", help="map a colored partition, e.g. 2r+1g")
     cmd.add_argument("colored")
     cmd.set_defaults(
         func=_cmd_text,
         build=lambda a: format_partition(two_color_to_schmidt(parse_two_color(a.colored))),
     )
 
-    cmd = add("unmap", help="invert the map on a plain partition, e.g. 3+2")
+    cmd = sub.add_parser("unmap", help="invert the map on a plain partition, e.g. 3+2")
     cmd.add_argument("partition")
     cmd.set_defaults(
         func=_cmd_text,
         build=lambda a: format_two_color(schmidt_to_two_color(parse_partition(a.partition))),
     )
 
-    cmd = add("table", help="print the full correspondence at one weight")
+    cmd = sub.add_parser("table", help="print the full correspondence at one weight")
     cmd.add_argument("--n", type=integer, required=True)
     cmd.set_defaults(func=_cmd_text, build=_table)
 
-    cmd = add("verify", help="compare counts and run round trips")
+    cmd = sub.add_parser("verify", help="compare counts and run round trips")
     cmd.add_argument("--max-n", type=integer, default=20)
     cmd.add_argument("--roundtrip-cutoff", type=integer, default=12)
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(func=_cmd_report, build=_verify)
 
-    cmd = add("refined", help="run the four-parameter refinement grid")
+    cmd = sub.add_parser("refined", help="run the four-parameter refinement grid")
     cmd.add_argument("--max-n", type=integer, default=8)
     cmd.add_argument("--max-r", type=integer, default=3)
     cmd.add_argument("--max-l", type=integer, default=3)
@@ -190,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     cmd.set_defaults(func=_cmd_report, build=_refined)
 
-    cmd = add("render", help="show every intermediate of the forward map")
+    cmd = sub.add_parser("render", help="show every intermediate of the forward map")
     cmd.add_argument("colored")
-    cmd.set_defaults(func=_cmd_text, build=lambda a: _harness().render_text(a.colored))
+    cmd.set_defaults(func=_cmd_text, build=_render)
 
-    _parser, _commands = parser, commands
+    _parser, _commands = parser, sub.choices
     return parser
 
 

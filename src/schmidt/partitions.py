@@ -286,7 +286,8 @@ def two_color_counts(max_n: int) -> tuple[int, ...]:
 
 
 def count_two_color(n: int) -> int:
-    """Entry ``n`` of `two_color_counts(n)`: O(n²) additions, O(n) memory; for many n, call that once."""
+    """Entry ``n`` of `two_color_counts(n)`: O(n²) additions, O(n) memory; for many large n,
+    call that once.  The CLI's entry check calls this for n = 1, 2, ... up to 28 at most."""
     return two_color_counts(n)[n]
 
 

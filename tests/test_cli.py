@@ -1,10 +1,15 @@
+import contextlib
 import inspect
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import schmidt.cli
 import schmidt.harness
@@ -17,6 +22,7 @@ from schmidt.harness import (
     format_report,
 )
 from schmidt.partitions import TwoColorPartition
+from schmidt.textform import FORMATS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLE = DATA / "table_n3.txt"
@@ -222,6 +228,17 @@ def test_table_limit_allows_verify_up_to_5000(capsys, monkeypatch):
         "",
         "error: verify would build its count tables in 25,010,001 additions;"
         " the limit is 25,000,000\n",
+    )
+
+
+def test_entry_limit_counts_the_cells_render_draws(capsys, monkeypatch):
+    # weight w plus m² with m = max(#red, #green): 5 + 4 and 7 + 4 cells
+    monkeypatch.setattr(schmidt.cli, "ENTRY_LIMIT", 10)
+    assert run_cli(capsys, "render", "2r+2g+1g")[0] == 0
+    assert run_cli(capsys, "render", "3r+3g+1g") == (
+        2,
+        "",
+        "error: render would draw 11 cells; the limit is 10\n",
     )
 
 
@@ -553,6 +570,16 @@ def test_a_grid_or_table_above_its_limit_is_refused_at_once(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
+def test_a_render_above_the_entry_limit_is_refused_at_once():
+    # it used to draw rows until it ran out of memory
+    proc = run_in_one_gib("render", "1000000000g", timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: render would draw 1,000,000,001 cells; the limit is 250,000\n",
+    )
+
+
 def test_out_of_memory_is_a_usage_error():
     assert_usage_error(run_in_one_gib("map", "1000000000g"))
 
@@ -648,3 +675,58 @@ def test_build_parser_stays_a_traced_function(capsys, monkeypatch):
         main(list(argv))
         assert len(calls) == n
     capsys.readouterr()
+
+
+def texts(max_part):
+    """Texts of either grammar, and strings of their characters and "²" and "٣"."""
+    size = st.integers(1, max_part)
+    colored = st.lists(st.tuples(size.map(str), st.sampled_from("rg")), min_size=1, max_size=4)
+    plain = st.lists(size, min_size=1, max_size=4).map(lambda parts: sorted(parts, reverse=True))
+    return st.one_of(
+        colored.map(lambda parts: "+".join(map("".join, parts))),
+        plain.map(lambda parts: "+".join(map(str, parts))),
+        st.text("0123456789rg+²٣", max_size=5),
+    )
+
+
+@st.composite
+def argvs(draw):
+    command = draw(
+        st.sampled_from(("map", "unmap", "table", "verify", "refined", "render", "-h", "nosuch"))
+    )
+    # map of a huge green part still draws one row per unit of it
+    text = texts(10**5 if command == "map" else 10**20)
+    argv = [command]
+    if command in ("map", "unmap", "render"):
+        argv.append(draw(text))
+    integer = (st.integers(-3, 12) | st.integers(min_value=10**19)).map(str)
+    options = [option for name, option in INTEGER_OPTIONS if name == command]
+    options += ["--format"] if command in ("verify", "refined") else []
+    if options:
+        for name in draw(st.lists(st.sampled_from(options), max_size=3)):
+            good = st.sampled_from(FORMATS) if name == "--format" else integer
+            argv += [name, draw(good | good | text)]
+    if draw(st.sampled_from((False, False, False, True))):  # now and then a stray token
+        argv.append(draw(text | st.sampled_from(("--n", "--max-n", "--max-q", "--format"))))
+    return argv
+
+
+@given(argvs())
+@settings(deadline=1000)
+def test_main_exits_0_or_2_with_one_error_line(argv):
+    # The limit bounds the work, not the time: a run it allows may take
+    # seconds (verify --roundtrip-cutoff 20, 8.6 s), past the deadline.  A
+    # lower limit keeps every run short and still reaches each refusal.
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(schmidt.cli, "ENTRY_LIMIT", 10_000),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
