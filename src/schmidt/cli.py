@@ -63,7 +63,7 @@ def integer(text: str) -> int:
 
 # Most objects a table, verify or refined run may enumerate, and most
 # cells a refined grid or a render may hold.  The largest table allowed,
-# --n 27 (240,840 objects), takes about 13 s and 240 MB (CPython 3.11, one
+# --n 27 (240,840 objects), takes about 13 s and 150 MB (CPython 3.11, one
 # core of a 2-vCPU machine).
 ENTRY_LIMIT = 250_000
 # Most additions verify's count tables may take, about max_n squared.  The

@@ -245,20 +245,38 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """All two-color partitions of weight ``n`` in canonical order.
 
     Canonical order sorts by the merged part list, largest part first with
-    red preceding green on equal sizes.
+    red preceding green on equal sizes.  Number each colored part by its
+    kind, 2s + 1 for a red part s and 2s for a green part s: a merged list
+    in that order is a list of kinds in non-increasing order, and canonical
+    order compares those lists by their kinds, larger first.  One
+    depth-first walk picks each next kind from the largest allowed down,
+    so it visits the lists in that order; two lists of equal weight are
+    never prefixes of one another, so the order of its leaves is the
+    canonical order and no sort is needed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    parts = [list(partitions_of(k)) for k in range(n + 1)]
-    # partitions_of yields positive weakly decreasing tuples
-    out = [
-        _unchecked(TwoColorPartition, red, green)
-        for red_weight in range(n, -1, -1)
-        for red in parts[red_weight]
-        for green in parts[n - red_weight]
-    ]
-    out.sort(key=TwoColorPartition.sort_key)
+    out: list[TwoColorPartition] = []
+    _extend_kinds(out, (), (), n, 2 * n + 1)
     return out
+
+
+def _extend_kinds(out: list, red: Parts, green: Parts, rest: int, top: int) -> None:
+    # Append to out every pair that extends red and green by parts of kind
+    # at most top summing to rest, in canonical order: one part per level,
+    # so the depth is the number of parts.  A kind above 2 * rest + 1 is a
+    # part larger than rest, and kind 1 would be a red part 0.
+    # Not a closure, for the reason given at _place_heads.
+    if not rest:
+        # each color was extended by non-increasing positive parts
+        out.append(_unchecked(TwoColorPartition, red, green))
+        return
+    for kind in range(min(top, 2 * rest + 1), 1, -1):
+        size = kind >> 1
+        if kind & 1:
+            _extend_kinds(out, red + (size,), green, rest - size, kind)
+        else:
+            _extend_kinds(out, red, green + (size,), rest - size, kind)
 
 
 def two_color_counts(max_n: int) -> tuple[int, ...]:

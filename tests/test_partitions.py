@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import time
@@ -232,7 +233,7 @@ def test_enumerate_two_color_n3_is_the_known_ten():
 
 
 def test_enumerate_two_color_weights_and_order():
-    for n in range(11):
+    for n in range(15):
         out = enumerate_two_color(n)
         assert all(tc.weight == n for tc in out)
         keys = [tc.sort_key() for tc in out]
@@ -244,6 +245,33 @@ def test_enumerate_two_color_weights_and_order():
             for green in partitions_of(n - k)
         ]
         assert out == sorted(reference, key=TwoColorPartition.sort_key)
+
+
+def test_enumerate_two_color_sorts_nothing():
+    # the walk appends each value in canonical order; sorting the whole
+    # list through sort_key, one merged list per value, peaked at 3.7 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = enumerate_two_color(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == count_two_color(16)
+    assert peak < 2 << 20
+
+
+def test_enumerate_two_color_leaves_no_cycle():
+    # a cycle would hold the list until the cyclic collector runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_two_color(8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_memoized_results_are_fresh_lists():
