@@ -4,7 +4,9 @@ Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
 on success, 1 on a verification failure, 2 on usage or parse errors and
 on a number too large to process.
 Every subcommand is a builder plus one of two handlers: ``build`` makes
-its text (`_cmd_text`) or its report (`_cmd_report`) from the arguments.
+its lines (`_cmd_text`) or its report (`_cmd_report`, which writes the
+lines of `harness.format_report`) from the arguments, and the handler
+prints each line as it comes.
 The argument parser is built once per process, on the first call of
 `build_parser`, and every later `main` call reuses it.  An argv that
 names a subcommand is parsed by that subcommand's parser alone; the
@@ -16,6 +18,7 @@ The builders of `table`, `verify`, `refined` and `render` first count
 their work and, through `_refuse`, refuse more than `ENTRY_LIMIT` objects
 (`table`, `verify`, `refined`), grid cells (`refined`) or diagram cells
 (`render`), or `TABLE_LIMIT` additions for `verify`'s count tables.
+So every check has run before the first line is written.
 """
 
 from __future__ import annotations
@@ -38,18 +41,17 @@ def _harness():
 
 
 def _cmd_text(args: argparse.Namespace) -> int:
-    text = args.build(args)
-    if text:
-        print(text)
+    for line in args.build(args):
+        print(line)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = args.build(args)
-    out = _harness().format_report(report, args.format)
-    print(out)
-    # a failing report whose output does not end with its summary gives it on stderr
-    if not report.ok and not out.endswith(report.summary):
+    for line in _harness().format_report(report, args.format):
+        print(line)
+    # text ends with the summary; the other formats give a failing one on stderr
+    if not report.ok and args.format != "text":
         print(report.summary, file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -63,7 +65,8 @@ def integer(text: str) -> int:
 
 # Most objects a table, verify or refined run may enumerate, and most
 # cells a refined grid or a render may hold.  The largest table allowed,
-# --n 27 (240,840 objects), takes about 13 s and 150 MB (CPython 3.11, one
+# --n 27 (240,840 objects), takes 10-12 s at 68 MB max RSS, and the
+# largest grid, 250,000 cells, 5-7 s at 67 MB as JSON (CPython 3.11, one
 # core of a 2-vCPU machine).
 ENTRY_LIMIT = 250_000
 # Most additions verify's count tables may take, about max_n squared.  The
@@ -96,9 +99,9 @@ def _check_cost(command: str, first: int, last: int, sides: int) -> None:
         _refuse(f"{command} would enumerate {more}{{:,}} objects", max(total, t), ENTRY_LIMIT)
 
 
-def _table(a: argparse.Namespace) -> str:
+def _table(a: argparse.Namespace):
     _check_cost("table", a.n, a.n, sides=1)
-    return _harness().table_text(a.n)
+    return _harness().table_lines(a.n)
 
 
 def _verify(a: argparse.Namespace):
@@ -118,13 +121,13 @@ def _refined(a: argparse.Namespace):
     return _harness().refined_report(*bounds)
 
 
-def _render(a: argparse.Namespace) -> str:
+def _render(a: argparse.Namespace) -> list[str]:
     # the diagram of a weight-w pair with m = max(#red, #green) holds the
     # parts plus a staircase on each side plus the diagonal: w + m² cells
     two_color = parse_two_color(a.colored)
     m = max(two_color.num_red, two_color.num_green)
     _refuse("render would draw {:,} cells", two_color.weight + m * m, ENTRY_LIMIT)
-    return _harness().render_text(a.colored)
+    return _harness().render_text(two_color, a.colored)
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -153,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("colored")
     cmd.set_defaults(
         func=_cmd_text,
-        build=lambda a: format_partition(two_color_to_schmidt(parse_two_color(a.colored))),
+        build=lambda a: [format_partition(two_color_to_schmidt(parse_two_color(a.colored)))],
     )
 
     cmd = sub.add_parser("unmap", help="invert the map on a plain partition, e.g. 3+2")
     cmd.add_argument("partition")
     cmd.set_defaults(
         func=_cmd_text,
-        build=lambda a: format_two_color(schmidt_to_two_color(parse_partition(a.partition))),
+        build=lambda a: [format_two_color(schmidt_to_two_color(parse_partition(a.partition)))],
     )
 
     cmd = sub.add_parser("table", help="print the full correspondence at one weight")

@@ -3,14 +3,17 @@
 `verify_report` reads its counts from three tables built without
 enumeration (the Schmidt-side DP, the convolution of partition numbers,
 and the series) and enumerates both sides only up to its round-trip
-cutoff; `refined_report` and `table_pairs` enumerate.  Everything here is
+cutoff; `refined_report` and `table_lines` enumerate.  Everything here is
 a pure function of its arguments, so reports are byte-for-byte
-reproducible.  `format_report` renders either report in
-any of `FORMATS` (defined in `textform`): CSV and JSON for machine
-consumption, text for humans.  `table_text` and `render_text` are the
-pages of `table` and `render`.  The command line imports this module
-only when one of those commands or a report runs, so `map` and `unmap`
-start without it.
+reproducible.  Reports and their records are `_Frozen` values.
+`format_report` writes either report in any of `FORMATS` (defined in
+`textform`): CSV and JSON for machine consumption, text for humans.
+`table_lines` and `render_text` are the pages of `table` and `render`.
+Every page and report is an iterable of lines without newlines, and
+`format_report` and `table_lines` make each line as it is read, so a
+large report or table is never held whole as text.  The command line
+imports this module only when one of those commands or a report runs,
+so `map` and `unmap` start without it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass, fields, is_dataclass
+from collections.abc import Callable, Iterator
 
 from .bijection import (
     render_two_modular,
@@ -32,6 +34,7 @@ from .partitions import (
     Parts,
     RefinedQuery,
     TwoColorPartition,
+    _Frozen,
     alternating_sum,
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
@@ -40,31 +43,23 @@ from .partitions import (
     two_color_counts,
 )
 from .series import two_color_coefficients
-from .textform import FORMATS, format_partition, format_two_color, parse_two_color
+from .textform import FORMATS, format_partition, format_two_color
 
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# The field order of each report and record is its JSON key order.
-@dataclass(frozen=True)
-class VerifyRecord:
-    n: int
-    s_count: int
-    t_count: int
-    series_count: int
-    round_trip_checked: int
-    ok: bool
+# Each report and record is built positionally, in the order of its
+# __match_args__, which is also its JSON key order.
+class VerifyRecord(_Frozen):
+    __slots__ = __match_args__ = (
+        "n", "s_count", "t_count", "series_count", "round_trip_checked", "ok",
+    )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    max_n: int
-    roundtrip_cutoff: int
-    ok: bool
-    witness: str | None
-    records: tuple[VerifyRecord, ...]
+class VerifyReport(_Frozen):
+    __slots__ = __match_args__ = ("max_n", "roundtrip_cutoff", "ok", "witness", "records")
 
     @property
     def summary(self) -> str:
@@ -73,44 +68,30 @@ class VerifyReport:
         bounds = f"max_n={self.max_n}, cutoff={self.roundtrip_cutoff}"
         return f"PASS: counts agree and round trips hold ({bounds})"
 
-    def _text_rows(self) -> list[str]:
-        return [
-            f"n={r.n} s={r.s_count} t={r.t_count} series={r.series_count}"
-            f" roundtrips={r.round_trip_checked} {'ok' if r.ok else 'MISMATCH'}"
-            for r in self.records
-        ]
+    def _text_rows(self) -> Iterator[str]:
+        for r in self.records:
+            yield (
+                f"n={r.n} s={r.s_count} t={r.t_count} series={r.series_count}"
+                f" roundtrips={r.round_trip_checked} {'ok' if r.ok else 'MISMATCH'}"
+            )
 
-    def _csv_rows(self) -> list[str]:
-        return ["n,s,t,series,pass"] + [
-            f"{r.n},{r.s_count},{r.t_count},{r.series_count},{_bool(r.ok)}"
-            for r in self.records
-        ]
-
-
-@dataclass(frozen=True)
-class RefinedRecord:
-    n: int
-    r: int
-    l: int
-    p: int
-    q: int
-    t_refined: int
-    s_literal: int
-    transported_count: int
-    literal_match: bool
-    transported_match: bool
+    def _csv_rows(self) -> Iterator[str]:
+        yield "n,s,t,series,pass"
+        for r in self.records:
+            yield f"{r.n},{r.s_count},{r.t_count},{r.series_count},{_bool(r.ok)}"
 
 
-@dataclass(frozen=True)
-class RefinedReport:
-    max_n: int
-    max_r: int
-    max_l: int
-    max_p: int
-    max_q: int
-    ok: bool
-    records: tuple[RefinedRecord, ...]
-    witness: str | None = None
+class RefinedRecord(_Frozen):
+    __slots__ = __match_args__ = (
+        "n", "r", "l", "p", "q", "t_refined", "s_literal", "transported_count",
+        "literal_match", "transported_match",
+    )
+
+
+class RefinedReport(_Frozen):
+    __slots__ = __match_args__ = (
+        "max_n", "max_r", "max_l", "max_p", "max_q", "ok", "records", "witness",
+    )
 
     @property
     def summary(self) -> str:
@@ -123,53 +104,49 @@ class RefinedReport:
         cell = f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
         return f"FAIL: {cell} t_refined={r.t_refined} transported={r.transported_count}"
 
-    def _text_rows(self) -> list[str]:
+    def _text_rows(self) -> Iterator[str]:
         records = self.records
-        return [
-            f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
-            f" t_refined={r.t_refined} s_literal={r.s_literal}"
-            f" transported={r.transported_count}"
-            f" literal_match={_bool(r.literal_match)}"
-            f" transported_match={_bool(r.transported_match)}"
-            for r in records
-        ] + [
+        for r in records:
+            yield (
+                f"n={r.n} r={r.r} l={r.l} p={r.p} q={r.q}"
+                f" t_refined={r.t_refined} s_literal={r.s_literal}"
+                f" transported={r.transported_count}"
+                f" literal_match={_bool(r.literal_match)}"
+                f" transported_match={_bool(r.transported_match)}"
+            )
+        yield (
             f"cells={len(records)}"
             f" transported_match={sum(r.transported_match for r in records)}"
             f" literal_match={sum(r.literal_match for r in records)}"
-        ]
+        )
 
-    def _csv_rows(self) -> list[str]:
-        return ["n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match"] + [
-            f"{r.n},{r.r},{r.l},{r.p},{r.q},{r.t_refined},{r.s_literal},"
-            f"{r.transported_count},{_bool(r.literal_match)},{_bool(r.transported_match)}"
-            for r in self.records
-        ]
+    def _csv_rows(self) -> Iterator[str]:
+        yield "n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match"
+        for r in self.records:
+            yield (
+                f"{r.n},{r.r},{r.l},{r.p},{r.q},{r.t_refined},{r.s_literal},"
+                f"{r.transported_count},{_bool(r.literal_match)},{_bool(r.transported_match)}"
+            )
 
 
-def table_pairs(n: int) -> list[tuple[TwoColorPartition, Parts]]:
-    """Every (two-color partition, image) pair of weight ``n``, canonical order.
+def table_lines(n: int) -> Iterator[str]:
+    """One "colored <-> plain" line per two-color partition of weight ``n``,
+    in canonical order, each object mapped as its line is read.
 
-    Weight zero has no listable pairs; the degenerate empty mapping is not
-    part of the table.
+    Weight zero has no lines: the degenerate empty mapping is not part of
+    the table.  A negative ``n`` raises here, before any line is read.
     """
-    if n == 0:
-        return []
-    return [(tc, two_color_to_schmidt(tc)) for tc in enumerate_two_color(n)]
+    objects = enumerate_two_color(n) if n else ()
+    return (
+        f"{format_two_color(tc)} <-> {format_partition(two_color_to_schmidt(tc))}"
+        for tc in objects
+    )
 
 
-def table_text(n: int) -> str:
-    """One "colored <-> plain" line per pair; empty for n = 0."""
-    lines = [
-        f"{format_two_color(tc)} <-> {format_partition(image)}"
-        for tc, image in table_pairs(n)
-    ]
-    return "\n".join(lines)
-
-
-def render_text(colored: str) -> str:
-    """The colored text's two colors, every intermediate of the forward map
+def render_text(two_color: TwoColorPartition, colored: str) -> list[str]:
+    """The lines of ``render``: the text ``colored`` that was parsed into
+    ``two_color``, its two colors, every intermediate of the forward map
     from `trace_forward` with the 2-modular diagram, and the image."""
-    two_color = parse_two_color(colored)
     lines = [
         f"input: {colored}",
         f"red: {format_partition(two_color.red)}",
@@ -183,11 +160,11 @@ def render_text(colored: str) -> str:
             f"legs: {' '.join(map(str, pair.legs))}",
             f"shape: {' '.join(map(str, shape))}",
             "diagram:",
-            render_two_modular(shape),
+            *render_two_modular(shape).split("\n"),
             f"hooks: {' '.join(map(str, hooks))}",
         ]
     lines.append(f"schmidt: {format_partition(image)}")
-    return "\n".join(lines)
+    return lines
 
 
 def _round_trips(
@@ -274,23 +251,9 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
             if failure:
                 ok = False
                 witness = witness or failure
-        records.append(
-            VerifyRecord(
-                n=n,
-                s_count=s,
-                t_count=t,
-                series_count=series,
-                round_trip_checked=checked,
-                ok=ok,
-            )
-        )
-    return VerifyReport(
-        max_n=max_n,
-        roundtrip_cutoff=roundtrip_cutoff,
-        records=tuple(records),
-        ok=all(r.ok for r in records),
-        witness=witness,
-    )
+        records.append(VerifyRecord(n, s, t, series, checked, ok))
+    ok = all(r.ok for r in records)
+    return VerifyReport(max_n, roundtrip_cutoff, ok, witness, tuple(records))
 
 
 def _stats(tc: TwoColorPartition) -> tuple[int, int, int, int]:
@@ -356,49 +319,61 @@ def refined_report(
             transported_count = _cell_count(transported, r, l, p, q)
             records.append(
                 RefinedRecord(
-                    n=n,
-                    r=r,
-                    l=l,
-                    p=p,
-                    q=q,
-                    t_refined=t_refined,
-                    s_literal=s_literal,
-                    transported_count=transported_count,
-                    literal_match=s_literal == t_refined,
-                    transported_match=transported_count == t_refined,
+                    n, r, l, p, q, t_refined, s_literal, transported_count,
+                    s_literal == t_refined, transported_count == t_refined,
                 )
             )
-    return RefinedReport(
-        max_n=max_n,
-        max_r=max_r,
-        max_l=max_l,
-        max_p=max_p,
-        max_q=max_q,
-        records=tuple(records),
-        ok=witness is None and all(r.transported_match for r in records),
-        witness=witness,
-    )
+    ok = witness is None and all(r.transported_match for r in records)
+    return RefinedReport(max_n, max_r, max_l, max_p, max_q, ok, tuple(records), witness)
 
 
-def _json_ready(value):
-    # Reports and records become dicts in field order, with ``ok`` spelled
-    # "pass"; tuples of records become lists.
-    if is_dataclass(value):
-        return {
-            "pass" if f.name == "ok" else f.name: _json_ready(getattr(value, f.name))
-            for f in fields(value)
-        }
-    if isinstance(value, tuple):
-        return [_json_ready(v) for v in value]
-    return value
+def _json_key(name: str) -> str:
+    return "pass" if name == "ok" else name
 
 
-def format_report(report: VerifyReport | RefinedReport, fmt: str) -> str:
-    """Render a report in one of `FORMATS`; the text format ends with its summary."""
+def _json_scalar(value: int) -> str:
+    return _bool(value) if isinstance(value, bool) else str(value)
+
+
+def _json_lines(report: VerifyReport | RefinedReport) -> Iterator[str]:
+    # json.dumps(..., indent=2) of the report as an object in field order:
+    # each head field through json.dumps, since a witness may hold any
+    # text, and each record, whose fields are ints and bools, through one
+    # template made from its __match_args__, the comma after it included
+    yield "{"
+    names = report.__match_args__
+    for i, name in enumerate(names, 1):
+        head = f'  "{_json_key(name)}": '
+        comma = "," if i < len(names) else ""
+        value = getattr(report, name)
+        if name != "records":
+            yield f"{head}{json.dumps(value)}{comma}"
+        elif not value:
+            yield f"{head}[]{comma}"
+        else:
+            yield head + "["
+            members = ",\n".join(f'      "{_json_key(k)}": {{}}' for k in value[0].__match_args__)
+            template = f"    {{{{\n{members}\n    }}}}{{}}"
+            for j, record in enumerate(value, 1):
+                after = "," if j < len(value) else ""
+                yield from template.format(*map(_json_scalar, record._fields), after).split("\n")
+            yield f"  ]{comma}"
+    yield "}"
+
+
+def format_report(report: VerifyReport | RefinedReport, fmt: str) -> Iterator[str]:
+    """The lines, without newlines, of a report in one of `FORMATS`.
+
+    Text is the rows and then the summary, CSV the header and then one row
+    per record, and JSON reads as ``json.dumps(..., indent=2)`` of the
+    report as an object in field order, with ``ok`` keyed "pass" and the
+    records as a list of objects.  Each line is made as it is read; an
+    unknown format raises `ValueError` here, before any line is.
+    """
     if fmt == "text":
-        return "\n".join([*report._text_rows(), report.summary])
+        return itertools.chain(report._text_rows(), (report.summary,))
     if fmt == "csv":
-        return "\n".join(report._csv_rows())
+        return report._csv_rows()
     if fmt == "json":
-        return json.dumps(_json_ready(report), indent=2)
+        return _json_lines(report)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")

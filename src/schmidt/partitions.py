@@ -39,10 +39,12 @@ def as_partition(parts: Iterable[int]) -> Parts:
 class _Frozen:
     """Base of the immutable values, whose slots ``__match_args__`` names.
 
-    A subclass sets ``__slots__ = __match_args__`` to two or more names and
-    checks its arguments in ``__init__`` before storing them here.  Values
-    are equal only within one class; hash, repr, copy and pickle read the
-    fields' tuple, and copies and unpickling run the checking constructor.
+    A subclass sets ``__slots__ = __match_args__`` to two or more names.
+    Its values are built positionally, one per name, and one whose fields
+    need checks checks its arguments in ``__init__`` before storing them
+    here.  Values are equal only within one class; hash, repr, copy and
+    pickle read the fields' tuple, and copies and unpickling run the
+    checking constructor.
     """
 
     __slots__ = ()
@@ -53,6 +55,9 @@ class _Frozen:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __init__(self, *values) -> None:
+        if len(values) != len(self._setters):
+            expected = len(self._setters)
+            raise TypeError(f"{type(self).__qualname__} takes {expected} values, not {len(values)}")
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
 

@@ -38,25 +38,15 @@ GOLDEN_REPORTS = {
     ),
 }
 BROKEN_VERIFY = VerifyReport(
-    max_n=1,
-    roundtrip_cutoff=12,
-    records=(
-        VerifyRecord(n=1, s_count=2, t_count=3, series_count=2, round_trip_checked=0, ok=False),
-    ),
-    ok=False,
-    witness="n=1: s=2 t=3 series=2",
+    1, 12, False, "n=1: s=2 t=3 series=2", (VerifyRecord(1, 2, 3, 2, 0, False),)
 )
 BROKEN_REFINED = RefinedReport(
-    max_n=1,
-    max_r=1,
-    max_l=1,
-    max_p=1,
-    max_q=2,
-    records=(
-        RefinedRecord(1, 1, 1, 1, 1, 0, 2, 0, literal_match=False, transported_match=True),
-        RefinedRecord(1, 1, 1, 1, 2, 0, 2, 1, literal_match=False, transported_match=False),
+    1, 1, 1, 1, 2, False,
+    (
+        RefinedRecord(1, 1, 1, 1, 1, 0, 2, 0, False, True),
+        RefinedRecord(1, 1, 1, 1, 2, 0, 2, 1, False, False),
     ),
-    ok=False,
+    None,
 )
 
 
@@ -359,7 +349,7 @@ def test_report_failure_exits_1_with_summary(capsys, monkeypatch, command, broke
     monkeypatch.setattr(f"schmidt.harness.{command}_report", lambda *a, **k: broken)
     code, out, err = run_cli(capsys, command, "--max-n", "1", "--format", fmt)
     assert code == 1
-    assert out == format_report(broken, fmt) + "\n"
+    assert out == "\n".join(format_report(broken, fmt)) + "\n"
     if fmt == "text":
         assert out.splitlines()[-1] == summary
         assert err == ""
@@ -451,11 +441,49 @@ def test_render_smallest_and_empty(capsys):
 
 
 def test_text_builders_are_looked_up_at_call_time(capsys, monkeypatch):
-    monkeypatch.setattr(schmidt.harness, "render_text", lambda colored: f"patched {colored}")
+    monkeypatch.setattr(
+        schmidt.harness, "render_text", lambda two_color, colored: [f"patched {colored}"]
+    )
     assert run_cli(capsys, "render", "1r") == (0, "patched 1r\n", "")
     # an empty page prints nothing, not an empty line
-    monkeypatch.setattr(schmidt.harness, "render_text", lambda colored: "")
+    monkeypatch.setattr(schmidt.harness, "render_text", lambda two_color, colored: [])
     assert run_cli(capsys, "render", "1r") == (0, "", "")
+
+
+def test_render_draws_the_value_its_entry_check_parsed(capsys, monkeypatch):
+    # the text is parsed once, by the builder that counts its cells; the
+    # page draws that value and echoes the text as given
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        return TwoColorPartition((3,))
+
+    monkeypatch.setattr(schmidt.cli, "parse_two_color", parse)
+    code, out, err = run_cli(capsys, "render", "1r")
+    assert (code, err, parsed) == (0, "", ["1r"])
+    assert out.splitlines()[:3] == ["input: 1r", "red: 3", "green: 0"]
+
+
+def test_render_echoes_non_canonical_input(capsys):
+    code, out, err = run_cli(capsys, "render", "1r+3g+1r")
+    assert (code, err) == (0, "")
+    assert out == (
+        "input: 1r+3g+1r\n"
+        "red: 1+1\n"
+        "green: 3\n"
+        "arms: 2 1\n"
+        "legs: 4 0\n"
+        "shape: 3 3 1 1 1\n"
+        "diagram:\n"
+        "2 2 1\n"
+        "2 2 1\n"
+        "1\n"
+        "1\n"
+        "1\n"
+        "hooks: 7 3 2 1\n"
+        "schmidt: 4+1+1+1\n"
+    )
 
 
 def test_module_entry_point():
@@ -478,6 +506,8 @@ main(["unmap", "3+1"])
 print(sorted({"schmidt.harness", "json", "typing", "dataclasses"} & set(sys.modules)))
 main(["render", "2r+1g"])
 print("schmidt.harness" in sys.modules)
+main(["verify", "--max-n", "3"])
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -488,7 +518,8 @@ print("schmidt.harness" in sys.modules)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[:3] == ["3+2", "2g+1r", "[]"]
-    assert lines[-2:] == ["schmidt: 3+2", "True"]
+    assert lines[-2:] == ["PASS: counts agree and round trips hold (max_n=3, cutoff=12)", "[]"]
+    assert lines[lines.index("True") - 1] == "schmidt: 3+2"
 
 
 def assert_usage_error(proc):

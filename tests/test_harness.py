@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -7,10 +7,13 @@ import schmidt.harness
 from schmidt.bijection import schmidt_to_two_color
 from schmidt.harness import (
     FORMATS,
+    RefinedRecord,
+    RefinedReport,
+    VerifyRecord,
+    VerifyReport,
     format_report,
     refined_report,
-    table_pairs,
-    table_text,
+    table_lines,
     verify_report,
 )
 from schmidt.partitions import (
@@ -23,10 +26,17 @@ from schmidt.partitions import (
 from schmidt.series import two_color_coefficients
 
 
+def written(report, fmt):
+    return "\n".join(format_report(report, fmt))
+
+
 def test_table_text():
-    assert table_text(0) == ""
-    assert table_text(1) == "1r <-> 1+1\n1g <-> 1"
-    assert len(table_pairs(3)) == 10
+    assert list(table_lines(0)) == []
+    assert list(table_lines(1)) == ["1r <-> 1+1", "1g <-> 1"]
+    assert len(list(table_lines(3))) == 10
+    # a bad weight raises when the page is made, before any line is read
+    with pytest.raises(ValueError):
+        table_lines(-1)
 
 
 def test_verify_report_values():
@@ -100,12 +110,12 @@ def test_verify_report_rejects_bad_bounds():
 
 def test_verify_renderings():
     report = verify_report(2)
-    assert format_report(report, "text").splitlines()[0] == "n=1 s=2 t=2 series=2 roundtrips=4 ok"
-    assert format_report(report, "text").splitlines()[-1].startswith("PASS")
-    csv = format_report(report, "csv").splitlines()
+    assert written(report, "text").splitlines()[0] == "n=1 s=2 t=2 series=2 roundtrips=4 ok"
+    assert written(report, "text").splitlines()[-1].startswith("PASS")
+    csv = written(report, "csv").splitlines()
     assert csv[0] == "n,s,t,series,pass"
     assert csv[1] == "1,2,2,2,true"
-    data = json.loads(format_report(report, "json"))
+    data = json.loads(written(report, "json"))
     assert list(data) == ["max_n", "roundtrip_cutoff", "pass", "witness", "records"]
     assert data["pass"] is True
     assert data["records"][0] == {
@@ -165,16 +175,16 @@ def test_refined_report_transported_counts_match_mapped_preimages():
 
 def test_refined_renderings():
     report = refined_report(2, 1, 1, 1, 1)
-    lines = format_report(report, "csv").splitlines()
+    lines = written(report, "csv").splitlines()
     assert lines[0] == "n,r,l,p,q,t_refined,s_literal,transported,literal_match,transported_match"
     assert "2,1,1,1,1,1,3,1,false,true" in lines
-    text = format_report(report, "text").splitlines()
+    text = written(report, "text").splitlines()
     assert "t_refined=1 s_literal=3 transported=1" in text[1]
     assert text[-2:] == [
         "cells=2 transported_match=2 literal_match=0",
         "PASS: transported counts agree",
     ]
-    data = json.loads(format_report(report, "json"))
+    data = json.loads(written(report, "json"))
     assert list(data) == [
         "max_n", "max_r", "max_l", "max_p", "max_q", "pass", "records", "witness",
     ]
@@ -191,15 +201,16 @@ def test_reports_are_reproducible():
     first = refined_report(4, 2, 2, 2, 2)
     second = refined_report(4, 2, 2, 2, 2)
     assert first == second
-    assert format_report(first, "csv") == format_report(second, "csv")
-    assert format_report(verify_report(5), "csv") == format_report(verify_report(5), "csv")
+    assert written(first, "csv") == written(second, "csv")
+    assert written(verify_report(5), "csv") == written(verify_report(5), "csv")
 
 
 def test_format_report_formats():
     report = verify_report(2)
     assert FORMATS == ("text", "csv", "json")
-    assert [format_report(report, fmt) != "" for fmt in FORMATS] == [True] * 3
-    assert format_report(report, "text").splitlines()[-1] == report.summary
+    assert [written(report, fmt) != "" for fmt in FORMATS] == [True] * 3
+    assert written(report, "text").splitlines()[-1] == report.summary
+    # an unknown format raises when called, not when the first line is read
     with pytest.raises(ValueError):
         format_report(report, "xml")
 
@@ -207,11 +218,62 @@ def test_format_report_formats():
 def test_refined_failure_summary_names_the_first_failing_cell():
     report = refined_report(2, 1, 1, 1, 1)
     first, second = report.records
-    broken = dataclasses.replace(
-        report,
-        ok=False,
-        records=(first, dataclasses.replace(second, transported_count=2, transported_match=False)),
-    )
+    assert second == RefinedRecord(2, 1, 1, 1, 1, 1, 3, 1, False, True)
+    broken_second = RefinedRecord(2, 1, 1, 1, 1, 1, 3, 2, False, False)
+    broken = RefinedReport(2, 1, 1, 1, 1, False, (first, broken_second), None)
     assert broken.summary == "FAIL: n=2 r=1 l=1 p=1 q=1 t_refined=1 transported=2"
-    assert format_report(broken, "text").splitlines()[-1] == broken.summary
+    assert written(broken, "text").splitlines()[-1] == broken.summary
     assert report.summary == "PASS: transported counts agree"
+
+
+def _as_dict(value):
+    # a report or record as the object its JSON writes, built apart from the
+    # writer: fields in order, "ok" keyed "pass", records as a list of objects
+    fields = {name: getattr(value, name) for name in value.__match_args__}
+    if "records" in fields:
+        fields["records"] = [_as_dict(r) for r in fields["records"]]
+    return {"pass" if name == "ok" else name: field for name, field in fields.items()}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        verify_report(6, 4),
+        verify_report(3, 0),
+        refined_report(3, 2, 2, 2, 2),
+        # a witness may hold any text
+        VerifyReport(
+            1, 0, False, 'n=1: "quoted" \\ caf\u00e9 \u2603\nnext', (VerifyRecord(1, 2, 3, 2, 0, False),)
+        ),
+        RefinedReport(1, 1, 1, 1, 1, False, (), "n=1: a witness with no records"),
+    ],
+)
+def test_json_lines_read_as_json_dumps_with_indent_2(report):
+    lines = list(format_report(report, "json"))
+    assert "\n".join(lines) == json.dumps(_as_dict(report), indent=2)
+    assert not any("\n" in line for line in lines)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_format_report_makes_each_line_as_it_is_read(fmt):
+    # 3,000 cells: written whole, the JSON alone peaks at megabytes
+    report = refined_report(1, 10, 10, 10, 3)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in format_report(report, fmt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > len(report.records)
+    assert peak < 100_000
+
+
+def test_reports_are_built_with_one_value_per_field():
+    with pytest.raises(TypeError):
+        VerifyRecord(1, 2)
+    with pytest.raises(TypeError):
+        VerifyRecord(1, 2, 3, 4, 5, True, 7)
+    with pytest.raises(TypeError):
+        RefinedReport(1, 1, 1, 1, 1, True, ())
+    record = VerifyRecord(1, 2, 2, 2, 4, True)
+    assert (record.n, record.round_trip_checked, record.ok) == (1, 4, True)
