@@ -65,7 +65,7 @@ def integer(text: str) -> int:
 
 # Most objects a table, verify or refined run may enumerate, and most
 # cells a refined grid or a render may hold.  The largest table allowed,
-# --n 27 (240,840 objects), takes 10-12 s at 68 MB max RSS, and the
+# --n 27 (240,840 objects), takes 11-14 s at 18 MB max RSS, and the
 # largest grid, 250,000 cells, 5-7 s at 67 MB as JSON (CPython 3.11, one
 # core of a 2-vCPU machine).
 ENTRY_LIMIT = 250_000

@@ -10,10 +10,10 @@ reproducible.  Reports and their records are `_Frozen` values.
 `textform`): CSV and JSON for machine consumption, text for humans.
 `table_lines` and `render_text` are the pages of `table` and `render`.
 Every page and report is an iterable of lines without newlines, and
-`format_report` and `table_lines` make each line as it is read, so a
-large report or table is never held whole as text.  The command line
-imports this module only when one of those commands or a report runs,
-so `map` and `unmap` start without it.
+`format_report` and `table_lines` make each line as it is read (a table's
+objects too, from `iter_two_color`), so a large report or table is never
+held whole.  The command line imports this module only when one of those
+commands or a report runs, so `map` and `unmap` start without it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .partitions import (
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
+    iter_two_color,
     schmidt_counts,
     two_color_counts,
 )
@@ -133,13 +134,12 @@ def table_lines(n: int) -> Iterator[str]:
     """One "colored <-> plain" line per two-color partition of weight ``n``,
     in canonical order, each object mapped as its line is read.
 
-    Weight zero has no lines: the degenerate empty mapping is not part of
-    the table.  A negative ``n`` raises here, before any line is read.
+    Weight zero has no lines: its one object, the degenerate empty mapping,
+    is not in the table.  A negative ``n`` raises here, before any line is read.
     """
-    objects = enumerate_two_color(n) if n else ()
     return (
         f"{format_two_color(tc)} <-> {format_partition(two_color_to_schmidt(tc))}"
-        for tc in objects
+        for tc in (iter_two_color(n) if n > 0 else enumerate_two_color(n)[1:])
     )
 
 

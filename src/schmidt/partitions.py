@@ -4,9 +4,9 @@ A partition is a weakly decreasing tuple of positive integers.  Its
 alternating sum is the sum of the first, third, fifth, ... parts; a
 partition is called a Schmidt partition of n when that sum equals n.
 Two-color partitions are ordered pairs of partitions, thought of as one
-multiset of parts painted red or green.  Both families are enumerated
-exhaustively here, together with the bounded refinements of each count,
-and counted for every weight up to a bound without enumeration.
+multiset of parts painted red or green.  Both families are enumerated here,
+the two-color one also lazily (`iter_two_color`), with the bounded refinements
+of each count, and counted for every weight up to a bound without enumeration.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class TwoColorPartition(_Frozen):
         return sorted([(-s, 0) for s in self.red] + [(-s, 1) for s in self.green])
 
 
-def enumerate_two_color(n: int) -> list[TwoColorPartition]:
-    """All two-color partitions of weight ``n`` in canonical order.
+def iter_two_color(n: int) -> Iterator[TwoColorPartition]:
+    """Yield the two-color partitions of weight ``n`` in canonical order.
 
     Canonical order sorts by the merged part list, largest part first with
     red preceding green on equal sizes.  Number each colored part by its
@@ -261,27 +261,24 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[TwoColorPartition] = []
-    _extend_kinds(out, (), (), n, 2 * n + 1)
-    return out
+    # A node extends red and green by non-increasing positive parts of kind at
+    # most top summing to rest, so a leaf needs no check.  Per size, green's
+    # kind 2s is pushed before red's 2s + 1, so the largest kind pops first.
+    stack = [((), (), n, 2 * n + 1)]
+    while stack:
+        red, green, rest, top = stack.pop()
+        if not rest:
+            yield _unchecked(TwoColorPartition, red, green)
+            continue
+        for size in range(1, min(top >> 1, rest) + 1):
+            stack.append((red, green + (size,), rest - size, 2 * size))
+            if 2 * size < top:
+                stack.append((red + (size,), green, rest - size, 2 * size + 1))
 
 
-def _extend_kinds(out: list, red: Parts, green: Parts, rest: int, top: int) -> None:
-    # Append to out every pair that extends red and green by parts of kind
-    # at most top summing to rest, in canonical order: one part per level,
-    # so the depth is the number of parts.  A kind above 2 * rest + 1 is a
-    # part larger than rest, and kind 1 would be a red part 0.
-    # Not a closure, for the reason given at _place_heads.
-    if not rest:
-        # each color was extended by non-increasing positive parts
-        out.append(_unchecked(TwoColorPartition, red, green))
-        return
-    for kind in range(min(top, 2 * rest + 1), 1, -1):
-        size = kind >> 1
-        if kind & 1:
-            _extend_kinds(out, red + (size,), green, rest - size, kind)
-        else:
-            _extend_kinds(out, red, green + (size,), rest - size, kind)
+def enumerate_two_color(n: int) -> list[TwoColorPartition]:
+    """All two-color partitions of weight ``n``, in the canonical order of `iter_two_color`."""
+    return list(iter_two_color(n))
 
 
 def two_color_counts(max_n: int) -> tuple[int, ...]:

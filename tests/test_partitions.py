@@ -21,6 +21,7 @@ from schmidt.partitions import (
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
     enumerate_two_color_refined,
+    iter_two_color,
     partitions_of,
     schmidt_counts,
     two_color_counts,
@@ -261,13 +262,31 @@ def test_enumerate_two_color_sorts_nothing():
     assert peak < 2 << 20
 
 
+def test_iter_two_color_holds_one_object_at_a_time():
+    # the walk keeps only its pending nodes; the list of weight 16 peaks at 1.05 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_two_color(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_two_color(16)
+    assert peak < 64 << 10
+
+
 def test_enumerate_two_color_leaves_no_cycle():
-    # a cycle would hold the list until the cyclic collector runs
+    # a cycle would hold the list, or a dropped walk, until the cyclic collector runs
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         enumerate_two_color(8)
+        assert gc.collect() == 0
+        walk = iter_two_color(8)
+        for _ in range(3):
+            next(walk)
+        del walk
         assert gc.collect() == 0
     finally:
         if enabled:
