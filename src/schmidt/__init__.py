@@ -39,6 +39,7 @@ from .partitions import (
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
     enumerate_two_color_refined,
+    iter_schmidt,
     iter_two_color,
     partitions_of,
     schmidt_counts,
@@ -81,6 +82,7 @@ __all__ = [
     "hook_compose",
     "hook_decompose",
     "hooks_to_schmidt",
+    "iter_schmidt",
     "iter_two_color",
     "pad_colors",
     "parse_partition",

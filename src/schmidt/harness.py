@@ -3,7 +3,9 @@
 `verify_report` reads its counts from three tables built without
 enumeration (the Schmidt-side DP, the convolution of partition numbers,
 and the series) and enumerates both sides only up to its round-trip
-cutoff; `refined_report` and `table_lines` enumerate.  Everything here is
+cutoff, each side as a stream that it counts as it goes and never holds;
+`refined_report` and `table_lines` enumerate, `refined_report` still
+holding each weight's two-color side as a list.  Everything here is
 a pure function of its arguments, so reports are byte-for-byte
 reproducible.  Reports and their records are `_Frozen` values.
 `format_report` writes either report in any of `FORMATS` (defined in
@@ -36,9 +38,9 @@ from .partitions import (
     TwoColorPartition,
     _Frozen,
     alternating_sum,
-    enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
+    iter_schmidt,
     iter_two_color,
     schmidt_counts,
     two_color_counts,
@@ -169,7 +171,7 @@ def render_text(two_color: TwoColorPartition, colored: str) -> list[str]:
 
 def _round_trips(
     n: int,
-    objects: list,
+    objects: Iterator,
     there: Callable,
     back: Callable,
     holds: Callable[..., bool],
@@ -179,7 +181,9 @@ def _round_trips(
     # Map each object there and back, stopping at the first whose image
     # differs from the one ``steps`` builds step by step (when given), fails
     # ``holds`` or does not map back to it, or whose maps raise.  Returns
-    # the objects checked and a witness for that first one.
+    # the objects checked and a witness for that first one; on a stop, the
+    # objects after it are left in ``objects``.
+    checked = 0
     for checked, obj in enumerate(objects, 1):
         try:
             image = there(obj)
@@ -191,7 +195,7 @@ def _round_trips(
         except Exception as exc:  # a raising map is a witness, not a crash
             what = f"raised {type(exc).__name__}: {exc}"
         return checked, f"n={n}: round trip {what} at {show(obj)}"
-    return len(objects), None
+    return checked, None
 
 
 def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
@@ -200,12 +204,16 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     For each n the Schmidt count comes from `schmidt_counts`, the two-color
     count from `two_color_counts` and the third from the series; each table
     is built once, for every n up to max_n, without enumerating.  Only for
-    n up to the cutoff are both sides enumerated: each list's length is
-    checked against its count, and the round trips run exhaustively in
-    both directions.  The closed-form inverse is also compared with the
-    inverse steps of `trace_backward` on every Schmidt partition there.  A
-    map that raises fails its round trip, and the witness names the
-    exception.
+    n up to the cutoff are both sides enumerated, each read once as a
+    stream (`iter_two_color`, `iter_schmidt`) and held nowhere: the round
+    trips run exhaustively in both directions, each side's objects are
+    counted as they pass and checked against its count, and the
+    closed-form inverse is also compared with the inverse steps of
+    `trace_backward` on every Schmidt partition there.  A map that raises
+    fails its round trip, and the witness names the exception.  A length
+    mismatch is named before a round trip failure of the same n; of
+    several failures on one side, the first met is named, which on the
+    Schmidt side is the first in `iter_schmidt`'s heads-major order.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -221,14 +229,7 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
         if not ok:
             witness = witness or f"n={n}: s={s} t={t} series={series}"
         if n <= roundtrip_cutoff:
-            schmidt_side = enumerate_schmidt(n)
-            two_color_side = enumerate_two_color(n)
-            if (len(schmidt_side), len(two_color_side)) != (s, t):
-                ok = False
-                witness = witness or (
-                    f"n={n}: enumerated s={len(schmidt_side)} t={len(two_color_side)},"
-                    f" counted s={s} t={t}"
-                )
+            two_color_side = iter_two_color(n)
             checked, failure = _round_trips(
                 n,
                 two_color_side,
@@ -237,6 +238,8 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
                 lambda image: alternating_sum(image) == n,
                 format_two_color,
             )
+            enumerated_t = checked + sum(1 for _ in two_color_side)
+            schmidt_side = iter_schmidt(n)
             back_checked, back_failure = _round_trips(
                 n,
                 schmidt_side,
@@ -246,6 +249,13 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
                 format_partition,
                 steps=lambda partition: trace_backward(partition)[-1],
             )
+            enumerated_s = back_checked + sum(1 for _ in schmidt_side)
+            if (enumerated_s, enumerated_t) != (s, t):
+                ok = False
+                witness = witness or (
+                    f"n={n}: enumerated s={enumerated_s} t={enumerated_t},"
+                    f" counted s={s} t={t}"
+                )
             checked += back_checked
             failure = failure or back_failure
             if failure:
@@ -284,12 +294,14 @@ def refined_report(
     counts partitions of alternating sum n whose preimage statistics
     match the bounds.  Only transported_match feeds the pass flag, the
     literal column is recorded as data.  For each weight, every two-color
-    partition and every preimage is enumerated once, and its statistics
-    are tallied and grouped by (num_red, num_green), so a cell scans only
-    its own group.  Each literal vector set, which depends only on
+    partition (from the list `enumerate_two_color`) and every preimage (of
+    the stream `iter_schmidt`) is enumerated once, and its statistics are
+    tallied and grouped by (num_red, num_green), so a cell scans only its
+    own group.  Each literal vector set, which depends only on
     (max(r, l), p+q), is counted once per weight.  An inverse map that
     raises fails the report, and the witness names the first partition it
-    raised at; that partition is left out of the tally.
+    raised at, in `iter_schmidt`'s heads-major order; that partition is
+    left out of the tally.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
@@ -297,9 +309,10 @@ def refined_report(
     records = []
     witness = None
     for n in range(1, max_n + 1):
+        # a list, not iter_two_color: perfbench's layer gate expects this call on `refined`
         direct = _by_part_counts(Counter(_stats(tc) for tc in enumerate_two_color(n)))
         preimages: Counter = Counter()
-        for partition in enumerate_schmidt(n):
+        for partition in iter_schmidt(n):
             try:
                 preimages[_stats(schmidt_to_two_color(partition))] += 1
             except Exception as exc:  # a raising map is a witness, not a crash

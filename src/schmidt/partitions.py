@@ -5,8 +5,9 @@ alternating sum is the sum of the first, third, fifth, ... parts; a
 partition is called a Schmidt partition of n when that sum equals n.
 Two-color partitions are ordered pairs of partitions, thought of as one
 multiset of parts painted red or green.  Both families are enumerated here,
-the two-color one also lazily (`iter_two_color`), with the bounded refinements
-of each count, and counted for every weight up to a bound without enumeration.
+lazily (`iter_two_color`, `iter_schmidt`) and as sorted lists, with the
+bounded refinements of each count, and counted for every weight up to a
+bound without enumeration.
 """
 
 from __future__ import annotations
@@ -148,29 +149,34 @@ def _interleave(heads: Parts) -> list:
     return factors
 
 
-def enumerate_schmidt(n: int) -> list[Parts]:
-    """All partitions with alternating sum ``n``, descending lexicographic.
+def iter_schmidt(n: int) -> Iterator[Parts]:
+    """Yield the partitions with alternating sum ``n``, heads-major.
 
     The odd-position parts (the heads) h1 >= ... >= hk of such a partition
     are a partition of n, and each even-position part lies between the head
     before it and the head after it.  So for each partition of n as heads,
-    the partitions of even length are one product of ranges, the last even
-    part running from hk down to 1, and those of odd length are the same
-    product without that last factor.  Every partition of alternating sum n
-    is in exactly one product, once, since it fixes its heads and its even
-    parts; the products are merged by one sort at the end.
+    taken in the descending lexicographic order of `partitions_of`, the
+    partitions of odd length are one product of ranges, and those of even
+    length are the same product with one more factor, the last even part
+    running from hk down to 1; each product is yielded in its own
+    descending lexicographic order, the odd lengths first.  Every partition
+    of alternating sum n is in exactly one product, once, since it fixes
+    its heads and its even parts.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return [()]
-    out = []
+        yield ()
+        return
     for heads in partitions_of(n):
         factors = _interleave(heads)
-        out += itertools.product(*factors[:-1])
-        out += itertools.product(*factors)
-    out.sort(reverse=True)
-    return out
+        yield from itertools.product(*factors[:-1])
+        yield from itertools.product(*factors)
+
+
+def enumerate_schmidt(n: int) -> list[Parts]:
+    """All partitions with alternating sum ``n``, descending lexicographic: `iter_schmidt`'s, sorted."""
+    return sorted(iter_schmidt(n), reverse=True)
 
 
 def schmidt_counts(max_n: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -20,8 +21,9 @@ from schmidt.partitions import (
     RefinedQuery,
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
-    enumerate_two_color,
     enumerate_two_color_refined,
+    iter_schmidt,
+    iter_two_color,
 )
 from schmidt.series import two_color_coefficients
 
@@ -66,30 +68,57 @@ def test_verify_report_enumerates_only_up_to_the_cutoff(monkeypatch):
 
         return enumerate_and_record
 
-    monkeypatch.setattr(schmidt.harness, "enumerate_schmidt", recording("schmidt", enumerate_schmidt))
-    monkeypatch.setattr(
-        schmidt.harness, "enumerate_two_color", recording("two_color", enumerate_two_color)
-    )
+    monkeypatch.setattr(schmidt.harness, "iter_schmidt", recording("schmidt", iter_schmidt))
+    monkeypatch.setattr(schmidt.harness, "iter_two_color", recording("two_color", iter_two_color))
     report = verify_report(30, 6)
     assert report.ok
     assert calls == {"schmidt": list(range(1, 7)), "two_color": list(range(1, 7))}
     assert [r.round_trip_checked > 0 for r in report.records] == [True] * 6 + [False] * 24
 
 
-@pytest.mark.parametrize("side", ["enumerate_schmidt", "enumerate_two_color"])
+@pytest.mark.parametrize("side", ["iter_schmidt", "iter_two_color"])
 def test_verify_report_checks_the_enumerated_lengths(monkeypatch, side):
-    # an enumerator that loses one object of weight 3 is a mismatch at n=3,
-    # even though the objects it does list round-trip
+    # an enumerator that loses the last of the ten objects of weight 3 is a
+    # mismatch at n=3, even though the objects it does list round-trip
     enumerate_side = getattr(schmidt.harness, side)
     monkeypatch.setattr(
-        schmidt.harness, side, lambda n: enumerate_side(n)[:-1] if n == 3 else enumerate_side(n)
+        schmidt.harness,
+        side,
+        lambda n: itertools.islice(enumerate_side(n), 9) if n == 3 else enumerate_side(n),
     )
     report = verify_report(4, 4)
     assert not report.ok
-    s, t = (9, 10) if side == "enumerate_schmidt" else (10, 9)
+    s, t = (9, 10) if side == "iter_schmidt" else (10, 9)
     assert report.witness == f"n=3: enumerated s={s} t={t}, counted s=10 t=10"
     assert [r.ok for r in report.records] == [True, True, False, True]
     assert report.summary == f"FAIL: {report.witness}"
+
+
+def test_verify_report_holds_no_list_of_either_side(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a whole side of weight {n} was listed")
+
+    for name in ("enumerate_schmidt", "enumerate_two_color"):
+        monkeypatch.setattr(schmidt.harness, name, refuse, raising=False)
+    report = verify_report(8, 8)
+    assert report.ok
+    assert [r.round_trip_checked for r in report.records] == [2 * r.t_count for r in report.records]
+
+
+def test_verify_report_names_the_first_failure_in_heads_major_order(monkeypatch):
+    # of 3 and 3+3, iter_schmidt yields 3 first (descending order puts 3+3 first)
+    steps = schmidt.harness.trace_backward
+
+    def raising(partition):
+        if partition in ((3,), (3, 3)):
+            raise ValueError("boom")
+        return steps(partition)
+
+    monkeypatch.setattr(schmidt.harness, "trace_backward", raising)
+    report = verify_report(4, 4)
+    assert report.witness == "n=3: round trip raised ValueError: boom at 3"
+    assert [r.ok for r in report.records] == [True, True, False, True]
+    assert report.records[2].round_trip_checked == 11
 
 
 def test_verify_report_counts_far_above_the_cutoff():

@@ -21,6 +21,7 @@ from schmidt.partitions import (
     enumerate_schmidt_refined_literal,
     enumerate_two_color,
     enumerate_two_color_refined,
+    iter_schmidt,
     iter_two_color,
     partitions_of,
     schmidt_counts,
@@ -148,6 +149,26 @@ def test_enumerate_schmidt_edge_cases():
 @pytest.mark.parametrize("n", range(13))
 def test_enumerate_schmidt_matches_slow_filter(n):
     assert enumerate_schmidt(n) == sorted(slow_schmidt(n), reverse=True)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_iter_schmidt_yields_each_partition_once(n):
+    walked = list(iter_schmidt(n))
+    expected = sorted(slow_schmidt(n), reverse=True)
+    assert sorted(walked, reverse=True) == expected
+    assert enumerate_schmidt(n) == sorted(iter_schmidt(n), reverse=True) == expected
+
+
+def test_iter_schmidt_edge_cases_and_heads_major_order():
+    assert list(iter_schmidt(0)) == [()]
+    with pytest.raises(ValueError):
+        next(iter_schmidt(-1))
+    # heads 3, then 2+1, then 1+1+1; for each, odd length before even
+    assert list(iter_schmidt(3)) == [
+        (3,), (3, 3), (3, 2), (3, 1),
+        (2, 2, 1), (2, 1, 1), (2, 2, 1, 1), (2, 1, 1, 1),
+        (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+    ]
 
 
 def test_enumerate_schmidt_structure():
