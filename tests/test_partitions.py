@@ -153,10 +153,8 @@ def test_enumerate_schmidt_matches_slow_filter(n):
 
 @pytest.mark.parametrize("n", range(13))
 def test_iter_schmidt_yields_each_partition_once(n):
-    walked = list(iter_schmidt(n))
-    expected = sorted(slow_schmidt(n), reverse=True)
-    assert sorted(walked, reverse=True) == expected
-    assert enumerate_schmidt(n) == sorted(iter_schmidt(n), reverse=True) == expected
+    walked = sorted(iter_schmidt(n), reverse=True)
+    assert walked == enumerate_schmidt(n) == sorted(slow_schmidt(n), reverse=True)
 
 
 def test_iter_schmidt_edge_cases_and_heads_major_order():
