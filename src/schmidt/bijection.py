@@ -25,6 +25,28 @@ import operator
 
 from .partitions import Parts, TwoColorPartition, _Frozen, _unchecked, as_partition, conjugate
 
+__all__ = [
+    "DistinctPair",
+    "NotInImageError",
+    "PaddedPair",
+    "add_staircase",
+    "check_hooks",
+    "durfee_square",
+    "hook_compose",
+    "hook_decompose",
+    "hooks_to_schmidt",
+    "pad_colors",
+    "remove_staircase",
+    "render_two_modular",
+    "schmidt_to_hooks",
+    "schmidt_to_two_color",
+    "trace_backward",
+    "trace_forward",
+    "two_color_to_schmidt",
+    "wright_build",
+    "wright_split",
+]
+
 
 class NotInImageError(ValueError):
     """An inverse step received a value outside the image of its forward step."""

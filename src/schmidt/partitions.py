@@ -17,6 +17,26 @@ import itertools
 import operator
 from collections.abc import Iterable, Iterator
 
+__all__ = [
+    "Parts",
+    "RefinedQuery",
+    "TwoColorPartition",
+    "alternating_sum",
+    "as_partition",
+    "conjugate",
+    "count_schmidt",
+    "count_two_color",
+    "enumerate_schmidt",
+    "enumerate_schmidt_refined_literal",
+    "enumerate_two_color",
+    "enumerate_two_color_refined",
+    "iter_schmidt",
+    "iter_two_color",
+    "partitions_of",
+    "schmidt_counts",
+    "two_color_counts",
+]
+
 Parts = tuple[int, ...]
 
 

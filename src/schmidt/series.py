@@ -6,6 +6,8 @@ integer arithmetic on the coefficients of q^0 through q^N only.
 
 from __future__ import annotations
 
+__all__ = ["two_color_coefficients"]
+
 
 def two_color_coefficients(order: int) -> tuple[int, ...]:
     """Coefficients of the product over k >= 1 of 1/(1 - q^k)^2.

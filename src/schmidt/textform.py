@@ -16,6 +16,14 @@ import re
 
 from .partitions import Parts, TwoColorPartition, _unchecked, as_partition
 
+__all__ = [
+    "PartitionSyntaxError",
+    "format_partition",
+    "format_two_color",
+    "parse_partition",
+    "parse_two_color",
+]
+
 _COLORED_PART = re.compile(r"(\d+)([rg])\Z")
 FORMATS = ("text", "csv", "json")  # report formats; the first is the default
 
@@ -67,29 +75,3 @@ def parse_two_color(text: str) -> TwoColorPartition:
 def format_two_color(two_color: TwoColorPartition) -> str:
     """Emit the canonical colored form; the empty partition becomes "0"."""
     return "+".join([f"{-s}{'rg'[c]}" for s, c in two_color.sort_key()]) or "0"
-
-
-def two_color_to_dict(two_color: TwoColorPartition) -> dict[str, list[int]]:
-    """Structured form: {"red": [...], "green": [...]}, parts descending."""
-    return {"red": list(two_color.red), "green": list(two_color.green)}
-
-
-def two_color_from_dict(data: dict[str, list[int]]) -> TwoColorPartition:
-    """Inverse of `two_color_to_dict`.
-
-    Anything but a dict, unknown keys, a color that is not a list or tuple,
-    and a part that is not a plain ``int`` (``bool`` included) are rejected.
-    """
-    if not isinstance(data, dict):
-        raise PartitionSyntaxError(f"expected a dict of colors: {data!r}")
-    extra = set(data) - {"red", "green"}
-    if extra:
-        raise PartitionSyntaxError(f"unexpected keys: {sorted(extra)}")
-    red, green = data.get("red", ()), data.get("green", ())
-    for color, parts in (("red", red), ("green", green)):
-        if not isinstance(parts, (list, tuple)) or any(type(x) is not int for x in parts):
-            raise PartitionSyntaxError(f"{color} must be a list of integers: {parts!r}")
-    try:
-        return TwoColorPartition(tuple(red), tuple(green))
-    except ValueError as exc:
-        raise PartitionSyntaxError(str(exc)) from None

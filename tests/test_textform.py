@@ -7,8 +7,6 @@ from schmidt.textform import (
     format_two_color,
     parse_partition,
     parse_two_color,
-    two_color_from_dict,
-    two_color_to_dict,
 )
 
 
@@ -62,36 +60,3 @@ def test_colored_round_trip_canonical():
     for text in ["0", "3r", "2g+1r", "3g+2g+1r+1r+1g", "1r+1r+1g"]:
         assert format_two_color(parse_two_color(text)) == text
 
-
-def test_structured_form():
-    tc = TwoColorPartition((2, 1), (3,))
-    data = two_color_to_dict(tc)
-    assert data == {"red": [2, 1], "green": [3]}
-    assert two_color_from_dict(data) == tc
-    assert two_color_from_dict({"green": [1]}) == TwoColorPartition((), (1,))
-
-
-def test_structured_form_rejects():
-    with pytest.raises(PartitionSyntaxError):
-        two_color_from_dict({"red": [1], "blue": [2]})
-    with pytest.raises(PartitionSyntaxError):
-        two_color_from_dict({"red": [1, 2]})
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"red": [2.5]},
-        {"red": [True]},
-        {"red": "12"},
-        {"red": None},
-        {"green": (1, 1.0)},
-        [],
-        None,
-        "red",
-        [("red", [1])],
-    ],
-)
-def test_structured_form_rejects_malformed_data(data):
-    with pytest.raises(PartitionSyntaxError):
-        two_color_from_dict(data)
