@@ -14,8 +14,13 @@ steps, and `two_color_to_schmidt` returns its last value.  The inverse,
 alternating suffix sums of the Schmidt partition, read in O(parts).  The
 inverse steps stay, composed once in `trace_backward`, as the paper's
 construction and as the slow path `verify` checks the closed form
-against.  Only the forward side draws the diagram, with `wright_build`
-and `wright_split`; the inverse steps read the pair off the hooks.
+against.  Only the forward side draws the diagram: `trace_forward` reads
+the hooks straight off the arms and legs it holds, and draws the diagram
+once, with `wright_build`, for `render`; `hook_decompose` reads the same
+hooks back off a drawn diagram through `wright_split`, and `verify`
+checks the one against the other.  The inverse steps read the pair off
+the hooks.  Both halves of Wright's bijection transpose with the one
+`conjugate`.
 """
 
 from __future__ import annotations
@@ -152,18 +157,24 @@ def wright_build(pair: DistinctPair) -> Parts:
 
     Cell (j, j) is placed for j = 1..m, then arms[j] cells to its right
     and legs[j] cells below it.  The result is always a partition with
-    sum(arms) + sum(legs) + m cells: the rows j + arms[j] strictly
-    decrease with the arms, and each row #{j : legs[j] + j >= i} below
-    them does not grow with i and is at most m <= row m.
+    sum(arms) + sum(legs) + m cells.  Rows 1..m, the Durfee square's, are
+    arms[j] + j long: the arms strictly decrease, so these rows do not
+    grow with j.  Column j ends in row legs[j] + j, so legs[j] + j - m of
+    its cells lie below the square; these overhangs are nonnegative,
+    because legs[j] >= m - j, and do not grow with j, because the legs
+    strictly decrease.  The rows below the square are the conjugate of the
+    nonzero overhangs, the inverse of how `wright_split` reads the legs,
+    and each is at most m <= row m long.  The cost is O(m) plus that of
+    `conjugate`, which grows with the rows below the square, not with the
+    length of an arm.
     """
     m = pair.m
+    overhangs = list(map(operator.add, pair.legs, range(1 - m, 1)))
+    # the overhangs do not grow, so their zeros come last
+    del overhangs[len(overhangs) - overhangs.count(0) :]
+    # a list made into a tuple, not tuple(map(...)): see schmidt_to_hooks
     rows = list(map(operator.add, pair.arms, range(1, m + 1)))
-    # column j ends in row legs[j] + j, which does not grow with j, so rows
-    # ends[j] + 1 .. ends[j - 1] below the diagonal hold exactly j cells,
-    # and the shape is built in O(m + rows)
-    ends = [leg + j for j, leg in enumerate(pair.legs, 1)] + [m]
-    for j in range(m, 0, -1):
-        rows += [j] * (ends[j - 1] - ends[j])
+    rows += conjugate(overhangs)
     return tuple(rows)
 
 
@@ -205,6 +216,16 @@ def wright_split(shape: Parts) -> DistinctPair:
     return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 
 
+def _hook_counts(pair: DistinctPair) -> tuple[int, ...]:
+    # hook j holds arms[j] + legs[j] + 1 cells and arms[j] + legs[j + 1] + 1
+    # twos, with legs[m + 1] = -1 (see hook_decompose)
+    reach = list(map(operator.add, pair.arms, itertools.repeat(1)))
+    out = [0] * (2 * pair.m)
+    out[0::2] = map(operator.add, reach, pair.legs)
+    out[1::2] = map(operator.add, reach, pair.legs[1:] + (-1,))
+    return tuple(out)
+
+
 def hook_decompose(shape: Parts) -> tuple[int, ...]:
     """Interleaved cell and 2-count per hook of the 2-modular filling.
 
@@ -216,14 +237,11 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
     cells and arms[j] + legs[j + 1] + 1 twos, where legs[m + 1] = -1: its
     ones end row j and the legs[j] - legs[j + 1] - 1 rows of its leg that
     column j + 1 does not reach.  These are the identities that
-    `hook_compose` inverts.
+    `hook_compose` inverts.  `trace_forward` computes them from the pair
+    it holds; this is the slow path that reads them off a drawn diagram,
+    and `verify` checks that the two agree.
     """
-    pair = wright_split(shape)  # validates the shape
-    reach = list(map(operator.add, pair.arms, itertools.repeat(1)))
-    out = [0] * (2 * pair.m)
-    out[0::2] = map(operator.add, reach, pair.legs)
-    out[1::2] = map(operator.add, reach, pair.legs[1:] + (-1,))
-    return tuple(out)
+    return _hook_counts(wright_split(shape))  # wright_split validates the shape
 
 
 def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
@@ -297,13 +315,14 @@ def trace_forward(
 ) -> tuple[PaddedPair, DistinctPair, Parts, tuple[int, ...], Parts]:
     """Every intermediate of the forward map: padded, pair, shape, hooks, image.
 
-    Raises ValueError on the empty two-color partition, which has no padding.
+    The hooks come from the pair, not read back off the shape, which would
+    cost a second transpose and a second check.  Raises ValueError on the
+    empty two-color partition, which has no padding.
     """
     padded = pad_colors(two_color)
     pair = add_staircase(padded)
-    shape = wright_build(pair)
-    hooks = hook_decompose(shape)
-    return padded, pair, shape, hooks, hooks_to_schmidt(hooks)
+    hooks = _hook_counts(pair)
+    return padded, pair, wright_build(pair), hooks, hooks_to_schmidt(hooks)
 
 
 def trace_backward(partition: Parts) -> tuple[tuple[int, ...], DistinctPair, TwoColorPartition]:

@@ -66,10 +66,10 @@ def integer(text: str) -> int:
 # Most objects a table, verify or refined run may enumerate, and most
 # cells a refined grid or a render may hold.  table and verify stream the
 # objects they enumerate, so for them the limit bounds time, not memory:
-# the largest table allowed, --n 27 (240,840 objects), takes 11-14 s at
-# 18 MB max RSS, and verify at the largest cutoff allowed, 21, takes
-# 7-9 s at 15 MB.  The largest grid, 250,000 cells, takes 5-7 s at 67 MB
-# as JSON (CPython 3.11, one core of a 2-vCPU machine).
+# the largest table allowed, --n 27 (240,840 objects), takes 10-13 s at
+# 15 MB max RSS, and verify at the largest cutoff allowed, 21, takes
+# 11-13 s at 16 MB.  The largest grid, 250,000 cells, takes 5-7 s at 67 MB
+# as JSON (CPython 3.11, one core of a shared 2-vCPU machine).
 ENTRY_LIMIT = 250_000
 # Most additions verify's count tables may take, about max_n squared.  The
 # largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).

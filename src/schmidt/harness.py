@@ -26,6 +26,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 
 from .bijection import (
+    hook_decompose,
     render_two_modular,
     schmidt_to_two_color,
     trace_backward,
@@ -169,6 +170,33 @@ def render_text(two_color: TwoColorPartition, colored: str) -> list[str]:
     return lines
 
 
+class _Disagreement(Exception):
+    """A fast path and the slow steps it stands for gave different values;
+    the message names both and the object they disagree at."""
+
+
+def _inverse_checked(partition: Parts) -> TwoColorPartition:
+    # the closed-form preimage, checked against the inverse steps
+    preimage = schmidt_to_two_color(partition)
+    if trace_backward(partition)[-1] != preimage:
+        raise _Disagreement(
+            f"closed-form inverse disagrees with the steps at {format_partition(partition)}"
+        )
+    return preimage
+
+
+def _forward_checked(two_color: TwoColorPartition) -> Parts:
+    # the image, traced once, with the hooks the trace reads off its pair
+    # checked against those hook_decompose reads off its diagram
+    _, _, shape, hooks, image = trace_forward(two_color)
+    if hook_decompose(shape) != hooks:
+        raise _Disagreement(
+            "hooks of the forward trace differ from hook_decompose of its diagram"
+            f" at {format_two_color(two_color)}"
+        )
+    return image
+
+
 def _round_trips(
     n: int,
     objects: Iterator,
@@ -176,22 +204,21 @@ def _round_trips(
     back: Callable,
     holds: Callable[..., bool],
     show: Callable[..., str],
-    steps: Callable | None = None,
 ) -> tuple[int, str | None]:
-    # Map each object there and back, stopping at the first whose image
-    # differs from the one ``steps`` builds step by step (when given), fails
-    # ``holds`` or does not map back to it, or whose maps raise.  Returns
-    # the objects checked and a witness for that first one; on a stop, the
-    # objects after it are left in ``objects``.
+    # Map each object there and back, stopping at the first whose maps
+    # raise `_Disagreement` (a fast path differs from its steps), whose
+    # image fails ``holds`` or does not map back to it, or whose maps raise
+    # anything else.  Returns the objects checked and a witness for that
+    # first one; on a stop, the objects after it are left in ``objects``.
     checked = 0
     for checked, obj in enumerate(objects, 1):
         try:
             image = there(obj)
-            if steps is not None and steps(obj) != image:
-                return checked, f"n={n}: closed-form inverse disagrees with the steps at {show(obj)}"
             if holds(image) and back(image) == obj:
                 continue
             what = "failed"
+        except _Disagreement as exc:
+            return checked, f"n={n}: {exc}"
         except Exception as exc:  # a raising map is a witness, not a crash
             what = f"raised {type(exc).__name__}: {exc}"
         return checked, f"n={n}: round trip {what} at {show(obj)}"
@@ -207,10 +234,15 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     n up to the cutoff are both sides enumerated, each read once as a
     stream (`iter_two_color`, `iter_schmidt`) and held nowhere: the round
     trips run exhaustively in both directions, each side's objects are
-    counted as they pass and checked against its count, and the
-    closed-form inverse is also compared with the inverse steps of
-    `trace_backward` on every Schmidt partition there.  A map that raises
-    fails its round trip, and the witness names the exception.  A length
+    counted as they pass and checked against its count, and each fast
+    path is compared with the slow steps it stands for: on every Schmidt
+    partition there, the closed-form inverse with the inverse steps of
+    `trace_backward`, and on its preimage, which is every two-color
+    partition once, the hooks `trace_forward` reads off the pair with
+    those `hook_decompose` reads off the diagram it draws.  The
+    disagreement of a fast path and its steps is the witness, naming both
+    and the object.  A map that raises fails its round trip, and the
+    witness names the exception.  A length
     mismatch is named before a round trip failure of the same n; of
     several failures on one side, the first met is named, which on the
     Schmidt side is the first in `iter_schmidt`'s heads-major order.
@@ -243,11 +275,10 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
             back_checked, back_failure = _round_trips(
                 n,
                 schmidt_side,
-                schmidt_to_two_color,
-                two_color_to_schmidt,
+                _inverse_checked,
+                _forward_checked,
                 lambda preimage: preimage.weight == n,
                 format_partition,
-                steps=lambda partition: trace_backward(partition)[-1],
             )
             enumerated_s = back_checked + sum(1 for _ in schmidt_side)
             if (enumerated_s, enumerated_t) != (s, t):

@@ -125,25 +125,25 @@ def alternating_sum(p: Parts) -> int:
 def conjugate(p: Parts) -> Parts:
     """Transpose the Young diagram of ``p``.
 
-    The rows are read as runs of equal length.  A run ending after row j
-    whose rows are d cells longer than the next row down (or than 0, for
-    the last run) contributes d columns of length j.  The end of each run
-    is found by binary search, so past the check of the rows, one pass in
-    C, the cost is O(runs * log rows) plus the output, however many rows a
-    run holds.
+    The rows are read as runs of equal length, from the last row up.  A
+    run ending at row j whose rows are d cells longer than the next row
+    down (or than 0, for the last run) contributes d columns of length j,
+    and the last run gives the longest columns, so the columns come out in
+    order into one list.  The start of each run is found by binary search,
+    so past the check of the rows, one pass in C, the cost is
+    O(runs * log rows) plus the output, however many rows a run holds.
     """
     p = as_partition(p)
-    rows = len(p)
-    runs = []
-    i = 0
-    while i < rows:
-        # p is decreasing, so -p is increasing: the first row shorter than p[i]
-        j = bisect.bisect_right(p, -p[i], i, key=operator.neg)
-        runs.append((j, p[i] - (p[j] if j < rows else 0)))
-        i = j
-    # the longest columns come from the last run
-    columns = itertools.starmap(itertools.repeat, reversed(runs))
-    return tuple(itertools.chain.from_iterable(columns))
+    columns = []
+    below = 0
+    j = len(p)
+    while j:
+        part = p[j - 1]
+        columns += [j] * (part - below)
+        below = part
+        # p is decreasing, so -p is increasing: the first row as long as p[j - 1]
+        j = bisect.bisect_left(p, -part, 0, j, key=operator.neg)
+    return tuple(columns)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:

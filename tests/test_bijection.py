@@ -296,6 +296,50 @@ def test_wright_build_matches_cell_oracle():
         assert sum(wright_build(pair)) == sum(pair.arms) + sum(pair.legs) + pair.m
 
 
+def rows_by_column_ends(arms, legs):
+    # the rows of 1..m from the arms, then below the square one run of rows
+    # per column end: column j ends in row legs[j] + j, so the rows between
+    # the ends of columns j + 1 and j hold j cells
+    m = len(arms)
+    rows = [arm + j for j, arm in enumerate(arms, 1)]
+    ends = [leg + j for j, leg in enumerate(legs, 1)] + [m]
+    for j in range(m, 0, -1):
+        rows += [j] * (ends[j - 1] - ends[j])
+    return tuple(rows)
+
+
+def distinct_descending(m, high):
+    return st.sets(st.integers(0, high), min_size=m, max_size=m).map(
+        lambda xs: tuple(sorted(xs, reverse=True))
+    )
+
+
+pairs_with_long_legs = st.integers(1, 4).flatmap(
+    lambda m: st.builds(DistinctPair, distinct_descending(m, 10**6), distinct_descending(m, 10**6))
+)
+
+
+@given(pairs_with_long_legs)
+def test_wright_build_matches_cell_oracle_on_long_legs(pair):
+    shape = wright_build(pair)
+    assert shape == rows_by_column_ends(pair.arms, pair.legs)
+    assert sum(shape) == sum(pair.arms) + sum(pair.legs) + pair.m
+    # the cell oracle holds one set entry per cell, so it runs on the
+    # pairs small enough to lay out cell by cell
+    if sum(shape) <= 10**4:
+        assert shape == build_by_cells(pair.arms, pair.legs)
+
+
+def test_forward_trace_hooks_are_those_of_its_diagram():
+    # trace_forward reads the hooks off the pair; hook_decompose reads them
+    # off the diagram that wright_build draws from the same pair
+    for n in range(1, 13):
+        for tc in enumerate_two_color(n):
+            _, pair, shape, hooks, _ = trace_forward(tc)
+            assert hooks == hook_decompose(shape)
+            assert wright_split(wright_build(pair)) == pair
+
+
 def test_durfee_square():
     assert durfee_square((4, 4, 3, 3, 2, 1)) == 3
     assert durfee_square((1,)) == 1

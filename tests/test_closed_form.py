@@ -15,7 +15,12 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 import schmidt.harness
-from schmidt.bijection import schmidt_to_two_color, trace_backward, two_color_to_schmidt
+from schmidt.bijection import (
+    hook_decompose,
+    schmidt_to_two_color,
+    trace_backward,
+    two_color_to_schmidt,
+)
 from schmidt.cli import main
 from schmidt.partitions import TwoColorPartition, enumerate_schmidt, enumerate_two_color
 
@@ -170,6 +175,39 @@ def test_verify_reports_raising_inverse_steps_as_a_witness(capsys, monkeypatch):
     code, fails, err = verify_with_inverse_steps(capsys, monkeypatch, raising)
     assert (code, err) == (1, "")
     assert fails == ["FAIL: n=2: round trip raised ValueError: boom at 2+1"]
+
+
+def verify_with_hook_decompose(capsys, monkeypatch, decompose):
+    monkeypatch.setattr(schmidt.harness, "hook_decompose", decompose)
+    code = main(["verify", "--max-n", "4", "--roundtrip-cutoff", "4"])
+    out, err = capsys.readouterr()
+    return code, [line for line in out.splitlines() if line.startswith("FAIL:")], err
+
+
+# 2r+1g has arms (2,) and legs (1,), so its diagram is 3+1
+def test_verify_reports_forward_hooks_disagreeing_with_hook_decompose(capsys, monkeypatch):
+    def wrong(shape):
+        hooks = hook_decompose(shape)
+        return (5, 1) if shape == (3, 1) else hooks
+
+    code, fails, err = verify_with_hook_decompose(capsys, monkeypatch, wrong)
+    assert (code, err) == (1, "")
+    assert fails == [
+        "FAIL: n=3: hooks of the forward trace differ from hook_decompose of its diagram at 2r+1g"
+    ]
+
+
+def test_verify_reports_raising_hook_decompose_as_a_witness(capsys, monkeypatch):
+    def raising(shape):
+        if shape == (3, 1):
+            raise ValueError("boom")
+        return hook_decompose(shape)
+
+    code, fails, err = verify_with_hook_decompose(capsys, monkeypatch, raising)
+    assert (code, err) == (1, "")
+    # the check runs where the Schmidt side maps each preimage forward, and
+    # 3+2 is the Schmidt partition whose preimage is 2r+1g
+    assert fails == ["FAIL: n=3: round trip raised ValueError: boom at 3+2"]
 
 
 def test_unmap_of_parts_near_a_quintillion_is_fast():

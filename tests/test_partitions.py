@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import sys
 import time
 import tracemalloc
 
@@ -115,6 +116,27 @@ def test_conjugate_cost_follows_runs_of_rows():
     start = time.perf_counter()
     assert conjugate(p) == (2 * 10**6, 2 * 10**6, 10**6, 10**6, 10**6)
     assert time.perf_counter() - start < 0.4
+
+
+def test_conjugate_holds_one_list_beside_its_output():
+    # 2,000 runs of one row each: the columns are gathered in one list and
+    # made a tuple once, so beyond the output (its tuple and the ints above
+    # 256 it holds) the peak is that one list, not a tuple per run.  The
+    # output is measured after a collection, which empties the free lists
+    # that freed short tuples would otherwise still be counted in.
+    p = tuple(range(2000, 0, -1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        columns = conjugate(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert columns == p
+    assert peak - kept < 2 * sys.getsizeof(columns)
 
 
 def test_conjugate_involution_exhaustive():
