@@ -328,11 +328,11 @@ def refined_report(
     partition (from the list `enumerate_two_color`) and every preimage (of
     the stream `iter_schmidt`) is enumerated once, and its statistics are
     tallied and grouped by (num_red, num_green), so a cell scans only its
-    own group.  Each literal vector set, which depends only on
-    (max(r, l), p+q), is counted once per weight.  An inverse map that
-    raises fails the report, and the witness names the first partition it
-    raised at, in `iter_schmidt`'s heads-major order; that partition is
-    left out of the tally.
+    own group.  Each literal count, which depends only on
+    (min(max(r, l), n), p+q), is counted once per weight.  An inverse map
+    that raises fails the report, and the witness names the first
+    partition it raised at, in `iter_schmidt`'s heads-major order; that
+    partition is left out of the tally.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
@@ -354,9 +354,10 @@ def refined_report(
         transported = _by_part_counts(preimages)
         literal: dict[tuple[int, int], int] = {}
         for r, l, p, q in grid:
-            key = (max(r, l), p + q)
+            # past n heads every head is 0, so max(r, l) counts only up to n
+            key = (min(max(r, l), n), p + q)
             if key not in literal:
-                query = RefinedQuery(n=n, r=r, l=l, p=p, q=q)
+                query = RefinedQuery(n=n, r=min(r, n), l=min(l, n), p=p, q=q)
                 literal[key] = len(enumerate_schmidt_refined_literal(query))
             t_refined = _cell_count(direct, r, l, p, q)
             s_literal = literal[key]

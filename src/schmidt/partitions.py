@@ -159,14 +159,26 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
             yield (first,) + rest
 
 
-def _interleave(heads: Parts) -> list:
-    # itertools.product factors (h1,), range(h1, h2 - 1, -1), (h2,), ...,
-    # (hk,), range(hk, 0, -1): each even-position part runs from the head
-    # before it down to the head after it, or to 1 after hk.
-    factors = []
-    for head, after in zip(heads, heads[1:] + (1,)):
-        factors += [(head,), range(head, after - 1, -1)]
-    return factors
+def _heads(factors: list, at: int, count: int, total: int, prev: int) -> Iterator[int]:
+    # Place at most count heads, each at most prev, summing to total, in
+    # descending lexicographic order, and yield the index just past the
+    # last; heads are positive but for the one head 0 of total 0.  Each is
+    # written in place as factors[at] = (h,), after the range from the head
+    # before it (or prev) down to h.  Each runs down to the mean of what is
+    # left rounded up, so no branch is empty, and the recursion is only as
+    # deep as the heads.  A last head after this one is written here.
+    for head in range(min(prev, total), -(-total // count) - 1, -1):
+        factors[at - 1] = range(prev, head - 1, -1)
+        factors[at] = (head,)
+        rest = total - head
+        if not rest:
+            yield at + 1
+        elif count == 2:
+            factors[at + 1] = range(head, rest - 1, -1)
+            factors[at + 2] = (rest,)
+            yield at + 3
+        else:
+            yield from _heads(factors, at + 2, count - 1, rest, head)
 
 
 def iter_schmidt(n: int) -> Iterator[Parts]:
@@ -175,23 +187,26 @@ def iter_schmidt(n: int) -> Iterator[Parts]:
     The odd-position parts (the heads) h1 >= ... >= hk of such a partition
     are a partition of n, and each even-position part lies between the head
     before it and the head after it.  So for each partition of n as heads,
-    taken in the descending lexicographic order of `partitions_of`, the
-    partitions of odd length are one product of ranges, and those of even
-    length are the same product with one more factor, the last even part
-    running from hk down to 1; each product is yielded in its own
-    descending lexicographic order, the odd lengths first.  Every partition
-    of alternating sum n is in exactly one product, once, since it fixes
-    its heads and its even parts.
+    taken in descending lexicographic order by one walk, the partitions of
+    odd length are one product of ranges, and those of even length are the
+    same product with one more factor, the last even part running from hk
+    down to 1; each product is yielded in its own descending lexicographic
+    order, the odd lengths first.  Every partition of alternating sum n is
+    in exactly one product, once, since it fixes its heads and its even
+    parts.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    for heads in partitions_of(n):
-        factors = _interleave(heads)
-        yield from itertools.product(*factors[:-1])
-        yield from itertools.product(*factors)
+    # (h1,), range(h1, h2 - 1, -1), (h2,), ..., (hk,): each even part runs
+    # from the head before it down to the head after it, or to 1 after hk
+    factors = [()] * (2 * n)
+    for end in _heads(factors, 0, n, n, n):
+        odd = factors[:end]
+        yield from itertools.product(*odd)
+        yield from itertools.product(*odd, range(odd[-1][0], 0, -1))
 
 
 def enumerate_schmidt(n: int) -> list[Parts]:
@@ -397,36 +412,21 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     zeros are significant, so vectors that would trim to the same
     partition are distinct members.
 
-    The odd-position entries, the heads h1 >= ... >= hk with k = max(r, l),
-    are placed by one depth-first walk, the last forced to be what remains
-    of n, and each head tuple's vectors are one product of ranges, built in
-    C.  Products of different heads interleave when k >= 3, so the list is
-    sorted once at the end.
+    The odd-position entries are the heads h1 >= ... >= hk, k = max(r, l).
+    The positive heads come from the walk of `iter_schmidt`, the heads
+    after them are 0, and each head tuple's vectors are one product of
+    ranges, built in C.  Products of different heads interleave when
+    k >= 3, so the list is sorted once at the end.
     """
     k, cap = max(query.r, query.l), query.p + query.q
     if query.n > k * cap:
         return []
     out: list[tuple[int, ...]] = []
-    _place_heads(out, [()] * (2 * k), 0, k, query.n, cap)
+    factors = [()] * (2 * k)
+    for end in _heads(factors, 0, k, query.n, cap):
+        # the even part after the last head hj runs from hj to 0, then all 0
+        factors[end] = range(factors[end - 1][0], -1, -1)
+        factors[end + 1 :] = [(0,)] * (2 * k - end - 1)
+        out += itertools.product(*factors)
     out.sort(reverse=True)
     return out
-
-
-def _place_heads(out: list, factors: list, at: int, count: int, total: int, prev: int) -> None:
-    # factors holds the product factors (h1,), range(h1, h2 - 1, -1), (h2,),
-    # ..., (hk,), range(hk, -1, -1), overwritten in place as the walk goes;
-    # placing h1 also writes the last entry, which placing hk overwrites.
-    # Place count heads from factors[at] on, each at most prev, summing to
-    # total; each runs down to the mean rounded up, so no branch is empty.
-    # Not a closure: a self-recursive closure is a reference cycle, which
-    # would keep ``out`` alive until the cyclic collector runs.
-    if count == 1:
-        factors[at - 1] = range(prev, total - 1, -1)
-        factors[at] = (total,)
-        factors[at + 1] = range(total, -1, -1)
-        out += itertools.product(*factors)
-        return
-    for head in range(min(prev, total), -(-total // count) - 1, -1):
-        factors[at - 1] = range(prev, head - 1, -1)
-        factors[at] = (head,)
-        _place_heads(out, factors, at + 2, count - 1, total - head, head)

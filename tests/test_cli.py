@@ -655,6 +655,24 @@ def test_verify_counts_fit_in_128_mib():
     assert proc.stdout.splitlines()[-1].startswith("PASS:")
 
 
+ONE_CELL_BUT_R = ("--max-n", "1", "--max-l", "1", "--max-p", "1", "--max-q", "1")
+
+
+def test_refined_of_many_heads_exits_0():
+    # 2,000 literal heads, one of them positive: the walk must recurse only
+    # per positive head, or this is a RecursionError traceback
+    proc = run_in_one_gib("refined", *ONE_CELL_BUT_R, "--max-r", "2000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "PASS: transported counts agree"
+
+
+def test_refined_at_the_cell_limit_is_quick():
+    # past n heads the literal count no longer changes, so it must be
+    # computed once for the whole grid, not once per max(r, l)
+    proc = run_in_one_gib("refined", *ONE_CELL_BUT_R, "--max-r", f"{ENTRY_LIMIT}", timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_reused_parser_leaks_no_state(capsys):
     # main reuses one parser per process; each call must still behave as a
     # fresh process would, defaults and error exits included
@@ -730,7 +748,7 @@ def argvs(draw):
     argv = [command]
     if command in ("map", "unmap", "render"):
         argv.append(draw(text))
-    integer = (st.integers(-3, 12) | st.integers(min_value=10**19)).map(str)
+    integer = (st.integers(-3, 12) | st.integers(13, 3000) | st.integers(min_value=10**19)).map(str)
     options = [option for name, option in INTEGER_OPTIONS if name == command]
     options += ["--format"] if command in ("verify", "refined") else []
     if options:
@@ -745,12 +763,14 @@ def argvs(draw):
 @given(argvs())
 @settings(deadline=1000)
 def test_main_exits_0_or_2_with_one_error_line(argv):
-    # The limit bounds the work, not the time: a run it allows may take
-    # seconds (verify --roundtrip-cutoff 20, 8.6 s), past the deadline.  A
-    # lower limit keeps every run short and still reaches each refusal.
+    # The limits bound the work, not the time: a run they allow may take
+    # seconds (verify --roundtrip-cutoff 20, 8.6 s; verify --max-n 3000,
+    # 2.7 s), past the deadline.  Lower limits keep every run short and
+    # still reach each refusal.
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch.object(schmidt.cli, "ENTRY_LIMIT", 10_000),
+        mock.patch.object(schmidt.cli, "TABLE_LIMIT", 250_000),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):

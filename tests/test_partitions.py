@@ -499,6 +499,70 @@ def test_literal_vectors_have_fixed_length_and_order():
     assert (1, 1, 1, 1) in out and (1, 1, 1, 0) in out
 
 
+# The two constructions the heads walk replaced, kept as references for
+# its order: each head tuple from partitions_of, its factors rebuilt ...
+def interleaved_schmidt(n):
+    if n == 0:
+        yield ()
+        return
+    for heads in partitions_of(n):
+        factors = []
+        for head, after in zip(heads, heads[1:] + (1,)):
+            factors += [(head,), range(head, after - 1, -1)]
+        yield from itertools.product(*factors[:-1])
+        yield from itertools.product(*factors)
+
+
+# ... and every one of the max(r, l) heads placed by one recursive call,
+# the zero heads too
+def placed_literal(query):
+    k, cap = max(query.r, query.l), query.p + query.q
+    if query.n > k * cap:
+        return []
+    out = []
+    place_heads(out, [()] * (2 * k), 0, k, query.n, cap)
+    out.sort(reverse=True)
+    return out
+
+
+def place_heads(out, factors, at, count, total, prev):
+    if count == 1:
+        factors[at - 1] = range(prev, total - 1, -1)
+        factors[at] = (total,)
+        factors[at + 1] = range(total, -1, -1)
+        out += itertools.product(*factors)
+        return
+    for head in range(min(prev, total), -(-total // count) - 1, -1):
+        factors[at - 1] = range(prev, head - 1, -1)
+        factors[at] = (head,)
+        place_heads(out, factors, at + 2, count - 1, total - head, head)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_iter_schmidt_keeps_the_order_of_the_interleaved_heads(n):
+    assert list(iter_schmidt(n)) == list(interleaved_schmidt(n))
+
+
+def test_literal_vectors_keep_the_order_of_the_placed_heads():
+    cells = itertools.product(range(1, 5), repeat=4)
+    for (r, l, p, q), n in itertools.product(cells, range(9)):
+        query = RefinedQuery(n, r, l, p, q)
+        assert enumerate_schmidt_refined_literal(query) == placed_literal(query)
+    # r > n: the heads past the n-th are 0
+    for n, r in itertools.product(range(4), (5, 9)):
+        query = RefinedQuery(n, r, 2, 1, 2)
+        assert enumerate_schmidt_refined_literal(query) == placed_literal(query)
+
+
+def test_literal_vectors_of_many_zero_heads_need_no_deep_recursion():
+    # 5,000 heads, one of them positive: the walk recurses per positive head
+    zeros = (0,) * 9_998
+    assert enumerate_schmidt_refined_literal(RefinedQuery(n=1, r=5000, l=1, p=1, q=1)) == [
+        (1, 1) + zeros,
+        (1, 0) + zeros,
+    ]
+
+
 def test_refined_is_the_ordered_filter_of_the_full_table():
     # p = q = n + 1 exceeds every part, so those cells bound only the counts
     for n in range(9):
