@@ -150,35 +150,46 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
     """Yield every partition of ``n`` in descending lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bound = n if max_part is None else min(max_part, n)
     if n == 0:
         yield ()
         return
-    for first in range(bound, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    yield from map(tuple, _heads({}, n, n, n if max_part is None else max_part))
 
 
-def _heads(factors: list, at: int, count: int, total: int, prev: int) -> Iterator[int]:
-    # Place at most count heads, each at most prev, summing to total, in
-    # descending lexicographic order, and yield the index just past the
-    # last; heads are positive but for the one head 0 of total 0.  Each is
-    # written in place as factors[at] = (h,), after the range from the head
-    # before it (or prev) down to h.  Each runs down to the mean of what is
-    # left rounded up, so no branch is empty, and the recursion is only as
-    # deep as the heads.  A last head after this one is written here.
-    for head in range(min(prev, total), -(-total // count) - 1, -1):
-        factors[at - 1] = range(prev, head - 1, -1)
-        factors[at] = (head,)
-        rest = total - head
-        if not rest:
-            yield at + 1
-        elif count == 2:
-            factors[at + 1] = range(head, rest - 1, -1)
-            factors[at + 2] = (rest,)
-            yield at + 3
+def _heads(factors: list | dict, count: int, total: int, cap: int) -> Iterator[list[int]]:
+    # The partitions of total into at most count heads, each at most cap, in
+    # descending lexicographic order, as one list updated in place (total 0
+    # gives the one head 0).  Head h at index i is also written as
+    # factors[2i] = (h,) after the range from the head before it (or cap)
+    # down to h; factors is a list of 2 * count slots, or a dict, which grows
+    # with the heads.  Next the last head h_i whose rest, the sum of it and
+    # the heads after it, is at most (count - i)(h_i - 1) drops by one, and
+    # the tail is refilled greedily (Knuth, TAOCP 4A, 7.2.1.4, Algorithm P).
+    if total > count * cap:
+        return
+    heads = []
+    prev, top, rest = cap, min(cap, total), total
+    while True:
+        at = 2 * len(heads)
+        while rest or not heads:
+            head = top if top < rest else rest
+            factors[at - 1] = range(prev, head - 1, -1)
+            factors[at] = (head,)
+            heads.append(head)
+            rest -= head
+            at, prev = at + 2, head
+        yield heads
+        i = len(heads)
+        while i:
+            i -= 1
+            head = heads[i]
+            rest += head
+            if rest <= (count - i) * (head - 1):
+                break
         else:
-            yield from _heads(factors, at + 2, count - 1, rest, head)
+            return
+        del heads[i:]
+        prev, top = heads[-1] if i else cap, head - 1
 
 
 def iter_schmidt(n: int) -> Iterator[Parts]:
@@ -203,10 +214,10 @@ def iter_schmidt(n: int) -> Iterator[Parts]:
     # (h1,), range(h1, h2 - 1, -1), (h2,), ..., (hk,): each even part runs
     # from the head before it down to the head after it, or to 1 after hk
     factors = [()] * (2 * n)
-    for end in _heads(factors, 0, n, n, n):
-        odd = factors[:end]
+    for heads in _heads(factors, n, n, n):
+        odd = factors[: 2 * len(heads) - 1]
         yield from itertools.product(*odd)
-        yield from itertools.product(*odd, range(odd[-1][0], 0, -1))
+        yield from itertools.product(*odd, range(heads[-1], 0, -1))
 
 
 def enumerate_schmidt(n: int) -> list[Parts]:
@@ -390,18 +401,18 @@ def enumerate_two_color_refined(query: RefinedQuery) -> list[TwoColorPartition]:
 
 
 def _decreasing(total: int, count: int, high: int) -> list[tuple[int, ...]]:
-    # Weakly decreasing count-tuples (count >= 1) with entries in [1, high]
-    # summing to total, in descending lexicographic order.  The first entry
-    # runs down from the largest that leaves 1 for every later entry to the
-    # mean rounded up, so every recursive call has a nonempty answer.
-    if not count <= total <= count * high:
-        return []
+    # Weakly decreasing count-tuples of entries in [1, high] summing to total,
+    # count <= total <= count * high, descending lexicographic: 1 plus each
+    # partition of total - count into at most count parts < high, zero-padded.
     if count == 1:
         return [(total,)]
-    out = []
-    for first in range(min(high, total - count + 1), -(-total // count) - 1, -1):
-        out += [(first,) + rest for rest in _decreasing(total - first, count - 1, first)]
-    return out
+    if count == 2:
+        return [(first, total - first) for first in range(min(high, total - 1), (total - 1) // 2, -1)]
+    ones = (1,) * count
+    return [
+        (*map(operator.add, heads, ones), *ones[len(heads) :])
+        for heads in _heads({}, count, total - count, high - 1)
+    ]
 
 
 def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ...]]:
@@ -419,13 +430,12 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     k >= 3, so the list is sorted once at the end.
     """
     k, cap = max(query.r, query.l), query.p + query.q
-    if query.n > k * cap:
-        return []
     out: list[tuple[int, ...]] = []
     factors = [()] * (2 * k)
-    for end in _heads(factors, 0, k, query.n, cap):
+    for heads in _heads(factors, k, query.n, cap):
+        end = 2 * len(heads) - 1
         # the even part after the last head hj runs from hj to 0, then all 0
-        factors[end] = range(factors[end - 1][0], -1, -1)
+        factors[end] = range(heads[-1], -1, -1)
         factors[end + 1 :] = [(0,)] * (2 * k - end - 1)
         out += itertools.product(*factors)
     out.sort(reverse=True)

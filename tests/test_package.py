@@ -1,6 +1,8 @@
 """The public surface: each module's `__all__`, republished by `schmidt`."""
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -77,3 +79,20 @@ def test_package_republishes_every_module_list_once():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(schmidt, name) is getattr(module, name)
+
+
+def test_no_function_calls_itself():
+    # a call by its own name, `yield from` on one included, recurses once per
+    # level, so deep inputs would raise RecursionError
+    recursive = []
+    for path in sorted(pathlib.Path(schmidt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+                if node.name in called:
+                    recursive.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not recursive

@@ -6,12 +6,15 @@ import sys
 import time
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from schmidt.bijection import DistinctPair, PaddedPair, wright_build
 from schmidt.partitions import (
     RefinedQuery,
     TwoColorPartition,
+    _heads,
     _unchecked,
     alternating_sum,
     as_partition,
@@ -499,13 +502,74 @@ def test_literal_vectors_have_fixed_length_and_order():
     assert (1, 1, 1, 1) in out and (1, 1, 1, 0) in out
 
 
-# The two constructions the heads walk replaced, kept as references for
-# its order: each head tuple from partitions_of, its factors rebuilt ...
+# The recursions that the one heads walk, `partitions._heads`, replaced,
+# kept as references for its order.  Each recurses once per part.
+def reference_partitions_of(n, max_part=None):
+    # every partition of n, parts at most max_part, descending lexicographic
+    bound = n if max_part is None else min(max_part, n)
+    if n == 0:
+        yield ()
+        return
+    for first in range(bound, 0, -1):
+        for rest in reference_partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def reference_heads(factors, at, count, total, prev):
+    # at most count heads, each at most prev, summing to total, in descending
+    # lexicographic order, each written in place as factors[at] = (h,) after
+    # the range from the head before it (or prev) down to h; yields the index
+    # just past the last head
+    for head in range(min(prev, total), -(-total // count) - 1, -1):
+        factors[at - 1] = range(prev, head - 1, -1)
+        factors[at] = (head,)
+        rest = total - head
+        if not rest:
+            yield at + 1
+        elif count == 2:
+            factors[at + 1] = range(head, rest - 1, -1)
+            factors[at + 2] = (rest,)
+            yield at + 3
+        else:
+            yield from reference_heads(factors, at + 2, count - 1, rest, head)
+
+
+def reference_decreasing(total, count, high):
+    # weakly decreasing count-tuples with entries in [1, high] summing to
+    # total, in descending lexicographic order
+    if not count <= total <= count * high:
+        return []
+    if count == 1:
+        return [(total,)]
+    out = []
+    for first in range(min(high, total - count + 1), -(-total // count) - 1, -1):
+        out += [(first,) + rest for rest in reference_decreasing(total - first, count - 1, first)]
+    return out
+
+
+def walked_heads(count, total, cap):
+    # each head tuple of the walk, with the factors it wrote before the slot
+    # past its last head
+    factors = [()] * (2 * count)
+    return [
+        (tuple(heads), factors[: 2 * len(heads) - 1]) for heads in _heads(factors, count, total, cap)
+    ]
+
+
+def referenced_heads(count, total, cap):
+    factors = [()] * (2 * count + 1)
+    return [
+        (tuple(head for head, in factors[:end:2]), factors[:end])
+        for end in reference_heads(factors, 0, count, total, cap)
+    ]
+
+
+# Each head tuple from the reference partitions, its factors rebuilt ...
 def interleaved_schmidt(n):
     if n == 0:
         yield ()
         return
-    for heads in partitions_of(n):
+    for heads in reference_partitions_of(n):
         factors = []
         for head, after in zip(heads, heads[1:] + (1,)):
             factors += [(head,), range(head, after - 1, -1)]
@@ -538,29 +602,92 @@ def place_heads(out, factors, at, count, total, prev):
         place_heads(out, factors, at + 2, count - 1, total - head, head)
 
 
+# Both colors from the reference tuples, sorted in canonical order
+def decreasing_refined(query):
+    n, r, l, p, q = query.n, query.r, query.l, query.p, query.q
+    out = [
+        TwoColorPartition(red, green)
+        for red_weight in range(n + 1)
+        for red in reference_decreasing(red_weight, r, p)
+        for green in reference_decreasing(n - red_weight, l, q)
+    ]
+    out.sort(key=TwoColorPartition.sort_key)
+    return out
+
+
+# the cells of the (8, 4, 4, 4, 4) grid, then r > n cells
+REFINED_CELLS = [
+    RefinedQuery(n, r, l, p, q)
+    for (r, l, p, q), n in itertools.product(itertools.product(range(1, 5), repeat=4), range(9))
+] + [RefinedQuery(n, r, 2, 1, 2) for n, r in itertools.product(range(4), (5, 9))]
+
+
+@pytest.mark.parametrize("m", [None, *range(-1, 18)])
+def test_partitions_of_keeps_the_order_of_the_recursion(m):
+    for n in range(17):
+        if m is None or m <= n + 1:
+            assert list(partitions_of(n, m)) == list(reference_partitions_of(n, m))
+
+
 @pytest.mark.parametrize("n", range(15))
 def test_iter_schmidt_keeps_the_order_of_the_interleaved_heads(n):
     assert list(iter_schmidt(n)) == list(interleaved_schmidt(n))
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 12))
+@example(3, 5, 9)  # cap > total
+@example(2, 30, 12)  # count * cap < total
+def test_heads_walk_keeps_the_order_of_the_recursion(count, total, cap):
+    assert walked_heads(count, total, cap) == referenced_heads(count, total, cap)
+
+
 def test_literal_vectors_keep_the_order_of_the_placed_heads():
-    cells = itertools.product(range(1, 5), repeat=4)
-    for (r, l, p, q), n in itertools.product(cells, range(9)):
-        query = RefinedQuery(n, r, l, p, q)
+    for query in REFINED_CELLS:
         assert enumerate_schmidt_refined_literal(query) == placed_literal(query)
-    # r > n: the heads past the n-th are 0
-    for n, r in itertools.product(range(4), (5, 9)):
-        query = RefinedQuery(n, r, 2, 1, 2)
-        assert enumerate_schmidt_refined_literal(query) == placed_literal(query)
+
+
+def test_two_color_refined_keeps_the_order_of_the_recursion():
+    for query in REFINED_CELLS:
+        assert enumerate_two_color_refined(query) == decreasing_refined(query)
 
 
 def test_literal_vectors_of_many_zero_heads_need_no_deep_recursion():
-    # 5,000 heads, one of them positive: the walk recurses per positive head
+    # 5,000 heads, one of them positive
     zeros = (0,) * 9_998
     assert enumerate_schmidt_refined_literal(RefinedQuery(n=1, r=5000, l=1, p=1, q=1)) == [
         (1, 1) + zeros,
         (1, 0) + zeros,
     ]
+
+
+# Queries with small answers whose parts or heads number in the thousands,
+# deeper than the recursion limit
+@pytest.mark.parametrize(
+    "query,answer",
+    [
+        (lambda: len(enumerate_two_color_refined(RefinedQuery(2001, 2000, 1, 1, 1))), 1),
+        (lambda: len(enumerate_two_color_refined(RefinedQuery(3001, 2000, 1, 2, 1))), 1),
+        (lambda: len(enumerate_schmidt_refined_literal(RefinedQuery(1500, 1000, 1, 1, 1))), 1003),
+        (lambda: list(partitions_of(5000, 1)), [(1,) * 5000]),
+    ],
+    ids=["two-color-ones", "two-color-one-two", "literal", "partitions-of"],
+)
+def test_deep_queries_need_no_recursion(query, answer):
+    assert query() == answer
+
+
+def test_a_partly_read_walk_holds_only_its_heads():
+    # the first partition of 10**6 is one head, so the scratch is a few slots
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = next(partitions_of(10**6))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert first == (10**6,)
+    assert peak < 64 * 1024
 
 
 def test_refined_is_the_ordered_filter_of_the_full_table():
