@@ -189,29 +189,20 @@ def durfee_square(shape: Parts) -> int:
 def wright_split(shape: Parts) -> DistinctPair:
     """Read arms and legs off the diagonal of a nonempty diagram.
 
-    Rows 1..m, the Durfee square's, give the arms.  Column j <= m holds m
-    cells of the square plus column j of the rows below it, which are at
-    most m long, so the legs come from the conjugate of those rows alone:
-    the cost grows with the rows below the square, not with the length of
-    a row.  `conjugate` checks those rows and one neighbour comparison
-    checks rows 1..m + 1, which together prove the shape a partition; a
-    failed check raises the whole shape's message.  Row j and column j of
-    a partition reach at least j inside its Durfee square and do not grow
+    `as_partition` checks the shape.  Rows 1..m, the Durfee square's, give
+    the arms.  Column j <= m holds m cells of the square plus column j of
+    the rows below it, which are at most m long, so the legs come from the
+    conjugate of those rows alone: the cost grows with the rows below the
+    square, not with the length of a row.  Row j and column j of a
+    partition reach at least j inside its Durfee square and do not grow
     with j, so arms and legs strictly decrease from >= 0.
     """
-    shape = tuple(shape)
-    m = durfee_square(shape)
-    head = shape[: m + 1]
-    try:
-        below = conjugate(shape[m:])
-        if not all(map(operator.ge, head, itertools.islice(head, 1, None))):
-            raise ValueError
-    except ValueError:
-        as_partition(shape)  # raises with the whole shape's message
-        raise
+    shape = as_partition(shape)
     if not shape:
         raise ValueError("cannot split the empty shape")
-    arms = list(map(operator.sub, head[:m], range(1, m + 1)))
+    m = durfee_square(shape)
+    below = conjugate(shape[m:])
+    arms = list(map(operator.sub, shape[:m], range(1, m + 1)))
     legs = list(map(operator.add, below + (0,) * (m - len(below)), range(m - 1, -1, -1)))
     return _unchecked(DistinctPair, tuple(arms), tuple(legs))
 

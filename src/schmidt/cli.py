@@ -68,8 +68,10 @@ def integer(text: str) -> int:
 # objects they enumerate, so for them the limit bounds time, not memory:
 # the largest table allowed, --n 27 (240,840 objects), takes 10-13 s at
 # 15 MB max RSS, and verify at the largest cutoff allowed, 21, takes
-# 11-13 s at 16 MB.  The largest grid, 250,000 cells, takes 5-7 s at 67 MB
-# as JSON (CPython 3.11, one core of a shared 2-vCPU machine).
+# 11-13 s at 16 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
+# --max-p 21 --max-q 26 (240,786 cells), takes 2.6-2.7 s as text and
+# 6.3-7.1 s as JSON at 53 MB; the largest, 250,000 cells, 6 s as JSON at
+# 74 MB (CPython 3.11, one core of a shared 2-vCPU machine).
 ENTRY_LIMIT = 250_000
 # Most additions verify's count tables may take, about max_n squared.  The
 # largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).

@@ -5,7 +5,8 @@ enumeration (the Schmidt-side DP, the convolution of partition numbers,
 and the series) and enumerates both sides only up to its round-trip
 cutoff, each side as a stream that it counts as it goes and never holds;
 `refined_report` and `table_lines` enumerate, `refined_report` still
-holding each weight's two-color side as a list.  Everything here is
+holding each weight's two-color side as a list and reading its literal
+counts off the same Schmidt walk that it maps back.  Everything here is
 a pure function of its arguments, so reports are byte-for-byte
 reproducible.  Reports and their records are `_Frozen` values.
 `format_report` writes either report in any of `FORMATS` (defined in
@@ -35,11 +36,9 @@ from .bijection import (
 )
 from .partitions import (
     Parts,
-    RefinedQuery,
     TwoColorPartition,
     _Frozen,
     alternating_sum,
-    enumerate_schmidt_refined_literal,
     enumerate_two_color,
     iter_schmidt,
     iter_two_color,
@@ -328,11 +327,14 @@ def refined_report(
     partition (from the list `enumerate_two_color`) and every preimage (of
     the stream `iter_schmidt`) is enumerated once, and its statistics are
     tallied and grouped by (num_red, num_green), so a cell scans only its
-    own group.  Each literal count, which depends only on
-    (min(max(r, l), n), p+q), is counted once per weight.  An inverse map
-    that raises fails the report, and the witness names the first
-    partition it raised at, in `iter_schmidt`'s heads-major order; that
-    partition is left out of the tally.
+    own group.  Trimmed of its zeros, a literal vector is a partition of
+    alternating sum n with at most max(r, l) heads and no part above p+q,
+    one to one, so the same walk tallies (heads, largest part), and each
+    literal count, one per weight and (min(max(r, l), n), p+q), sums that
+    tally and reads no map.  An inverse map that raises fails the report,
+    and the witness names the first partition it raised at, in
+    `iter_schmidt`'s heads-major order; that partition is left out of the
+    map's tally.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")
@@ -343,7 +345,9 @@ def refined_report(
         # a list, not iter_two_color: perfbench's layer gate expects this call on `refined`
         direct = _by_part_counts(Counter(_stats(tc) for tc in enumerate_two_color(n)))
         preimages: Counter = Counter()
+        shapes: Counter = Counter()  # (heads, largest part) of each partition
         for partition in iter_schmidt(n):
+            shapes[(len(partition) + 1) // 2, partition[0]] += 1
             try:
                 preimages[_stats(schmidt_to_two_color(partition))] += 1
             except Exception as exc:  # a raising map is a witness, not a crash
@@ -355,10 +359,9 @@ def refined_report(
         literal: dict[tuple[int, int], int] = {}
         for r, l, p, q in grid:
             # past n heads every head is 0, so max(r, l) counts only up to n
-            key = (min(max(r, l), n), p + q)
+            heads, cap = key = (min(max(r, l), n), p + q)
             if key not in literal:
-                query = RefinedQuery(n=n, r=min(r, n), l=min(l, n), p=p, q=q)
-                literal[key] = len(enumerate_schmidt_refined_literal(query))
+                literal[key] = sum(c for (k, top), c in shapes.items() if k <= heads and top <= cap)
             t_refined = _cell_count(direct, r, l, p, q)
             s_literal = literal[key]
             transported_count = _cell_count(transported, r, l, p, q)

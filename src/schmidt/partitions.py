@@ -419,9 +419,10 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     """Fixed-length weakly decreasing vectors with bounded entries.
 
     Vectors have length exactly 2*max(r, l), entries in [0, p+q], and
-    odd-position sum ``n``, in descending lexicographic order.  Trailing
-    zeros are significant, so vectors that would trim to the same
-    partition are distinct members.
+    odd-position sum ``n``, in descending lexicographic order.  Trimming
+    the trailing zeros is a bijection from the members onto the partitions
+    of alternating sum n with at most 2*max(r, l) parts and no part above
+    p+q; padding with zeros to length 2*max(r, l) is its inverse.
 
     The odd-position entries are the heads h1 >= ... >= hk, k = max(r, l).
     The positive heads come from the walk of `iter_schmidt`, the heads

@@ -116,8 +116,8 @@ def build_by_cells(arms, legs):
         (hook_decompose, ((),), ValueError, "cannot split the empty shape"),
         (hook_decompose, ((1, 2),), ValueError, "parts must be weakly decreasing: (1, 2)"),
         (hook_decompose, ((0,),), ValueError, "parts must be positive integers: (0,)"),
-        # wright_split checks the Durfee square's rows, row m + 1 and the rows
-        # below apart; each fault still gets the whole shape's message
+        # a fault in the Durfee square's rows, in row m + 1 or in the rows
+        # below it gets the whole shape's message
         (hook_decompose, ((2, 3, 1),), ValueError, "parts must be weakly decreasing: (2, 3, 1)"),
         (hook_decompose, ((2, 3, 0),), ValueError, "parts must be positive integers: (2, 3, 0)"),
         (hook_decompose, ((2, 2, 0),), ValueError, "parts must be positive integers: (2, 2, 0)"),

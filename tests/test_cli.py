@@ -673,6 +673,14 @@ def test_refined_at_the_cell_limit_is_quick():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_refined_of_a_grid_near_the_cell_limit_is_quick():
+    # 240,786 cells over 21 weights: the literal counts must come from the
+    # one walk per weight, not from enumerating the vectors once per key
+    argv = ("--max-n", "21", "--max-r", "21", "--max-l", "1", "--max-p", "21", "--max-q", "26")
+    proc = run_in_one_gib("refined", *argv, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_reused_parser_leaks_no_state(capsys):
     # main reuses one parser per process; each call must still behave as a
     # fresh process would, defaults and error exits included

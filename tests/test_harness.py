@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -176,13 +177,27 @@ def test_refined_report_grid_shape_and_order():
     assert keys == sorted(keys)
 
 
-def test_refined_report_counts_match_the_cell_enumerators():
-    report = refined_report(7, 3, 3, 3, 3)
-    assert len(report.records) == 7 * 81
+# the second grid's cells pass n in both max(r, l) and p + q
+@pytest.mark.parametrize("grid", [(7, 3, 3, 3, 3), (5, 7, 2, 6, 3)])
+def test_refined_report_counts_match_the_cell_enumerators(grid):
+    report = refined_report(*grid)
+    assert len(report.records) == math.prod(grid)
     for row in report.records:
         query = RefinedQuery(row.n, row.r, row.l, row.p, row.q)
         assert row.t_refined == len(enumerate_two_color_refined(query))
         assert row.s_literal == len(enumerate_schmidt_refined_literal(query))
+
+
+def test_a_raising_inverse_map_leaves_the_literal_column_unchanged(monkeypatch):
+    literal = [row.s_literal for row in refined_report(4, 2, 2, 2, 2).records]
+
+    def raising(partition):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(schmidt.harness, "schmidt_to_two_color", raising)
+    report = refined_report(4, 2, 2, 2, 2)
+    assert report.witness == "n=1: inverse map raised ValueError: boom at 1"
+    assert [row.s_literal for row in report.records] == literal
 
 
 def test_refined_report_transported_counts_match_mapped_preimages():

@@ -647,6 +647,18 @@ def test_literal_vectors_keep_the_order_of_the_placed_heads():
         assert enumerate_schmidt_refined_literal(query) == placed_literal(query)
 
 
+def test_trimmed_literal_vectors_are_the_bounded_schmidt_partitions():
+    # trimming the zeros is one to one, onto the partitions of alternating
+    # sum n with at most 2 * max(r, l) parts and a largest part <= p + q
+    for query in REFINED_CELLS:
+        k, cap = max(query.r, query.l), query.p + query.q
+        trimmed = [v[: len(v) - v.count(0)] for v in enumerate_schmidt_refined_literal(query)]
+        assert len(set(trimmed)) == len(trimmed)
+        assert set(trimmed) == {
+            s for s in enumerate_schmidt(query.n) if len(s) <= 2 * k and (not s or s[0] <= cap)
+        }
+
+
 def test_two_color_refined_keeps_the_order_of_the_recursion():
     for query in REFINED_CELLS:
         assert enumerate_two_color_refined(query) == decreasing_refined(query)
