@@ -68,7 +68,7 @@ def integer(text: str) -> int:
 # objects they enumerate, so for them the limit bounds time, not memory:
 # the largest table allowed, --n 27 (240,840 objects), takes 10-13 s at
 # 15 MB max RSS, and verify at the largest cutoff allowed, 21, takes
-# 11-13 s at 16 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
+# 5.5-5.7 s at 15 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
 # --max-p 21 --max-q 26 (240,786 cells), takes 2.6-2.7 s as text and
 # 6.3-7.1 s as JSON at 53 MB; the largest, 250,000 cells, 6 s as JSON at
 # 74 MB (CPython 3.11, one core of a shared 2-vCPU machine).

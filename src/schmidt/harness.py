@@ -1,22 +1,21 @@
 """Verification reports: count agreement, round trips, and refinements.
 
-`verify_report` reads its counts from three tables built without
-enumeration (the Schmidt-side DP, the convolution of partition numbers,
-and the series) and enumerates both sides only up to its round-trip
-cutoff, each side as a stream that it counts as it goes and never holds;
-`refined_report` and `table_lines` enumerate, `refined_report` still
-holding each weight's two-color side as a list and reading its literal
-counts off the same Schmidt walk that it maps back.  Everything here is
-a pure function of its arguments, so reports are byte-for-byte
-reproducible.  Reports and their records are `_Frozen` values.
-`format_report` writes either report in any of `FORMATS` (defined in
-`textform`): CSV and JSON for machine consumption, text for humans.
+`verify_report` compares three counts built without enumeration (the
+Schmidt-side DP, the convolution of partition numbers, and the series),
+and up to its round-trip cutoff streams both sides through one trip
+each: `_two_color_trip` maps a two-color partition there and back, and
+`_schmidt_trip` maps a Schmidt partition back and there, checking the
+closed-form inverse and the forward hooks against the paper's steps on
+the way.  `refined_report` and `table_lines` enumerate; `refined_report`
+reads its literal counts off the Schmidt walk that it maps back.  Every
+report is a pure function of its arguments, a `_Frozen` value, and
+`format_report` writes it in any of `FORMATS` (from `textform`).
 `table_lines` and `render_text` are the pages of `table` and `render`.
-Every page and report is an iterable of lines without newlines, and
-`format_report` and `table_lines` make each line as it is read (a table's
-objects too, from `iter_two_color`), so a large report or table is never
-held whole.  The command line imports this module only when one of those
-commands or a report runs, so `map` and `unmap` start without it.
+Pages and reports are iterables of lines without newlines;
+`format_report` and `table_lines` make each line as it is read, so a
+large report or table is never held whole.  The command line imports
+this module only for those commands, so `map` and `unmap` start without
+it.
 """
 
 from __future__ import annotations
@@ -139,9 +138,12 @@ def table_lines(n: int) -> Iterator[str]:
     Weight zero has no lines: its one object, the degenerate empty mapping,
     is not in the table.  A negative ``n`` raises here, before any line is read.
     """
+    objects = iter_two_color(n)
+    if n <= 0:
+        next(objects)  # a negative n raises here; weight zero's one object is skipped
     return (
         f"{format_two_color(tc)} <-> {format_partition(two_color_to_schmidt(tc))}"
-        for tc in (iter_two_color(n) if n > 0 else enumerate_two_color(n)[1:])
+        for tc in objects
     )
 
 
@@ -169,82 +171,66 @@ def render_text(two_color: TwoColorPartition, colored: str) -> list[str]:
     return lines
 
 
-class _Disagreement(Exception):
-    """A fast path and the slow steps it stands for gave different values;
-    the message names both and the object they disagree at."""
+def _two_color_trip(n: int, two_color: TwoColorPartition) -> str | None:
+    image = two_color_to_schmidt(two_color)
+    if alternating_sum(image) == n and schmidt_to_two_color(image) == two_color:
+        return None
+    return f"round trip failed at {format_two_color(two_color)}"
 
 
-def _inverse_checked(partition: Parts) -> TwoColorPartition:
-    # the closed-form preimage, checked against the inverse steps
+def _schmidt_trip(n: int, partition: Parts) -> str | None:
+    # the fast paths against the slow steps: the closed-form inverse against
+    # trace_backward, and the hooks trace_forward reads off its pair against
+    # those hook_decompose reads off its diagram
     preimage = schmidt_to_two_color(partition)
     if trace_backward(partition)[-1] != preimage:
-        raise _Disagreement(
-            f"closed-form inverse disagrees with the steps at {format_partition(partition)}"
-        )
-    return preimage
-
-
-def _forward_checked(two_color: TwoColorPartition) -> Parts:
-    # the image, traced once, with the hooks the trace reads off its pair
-    # checked against those hook_decompose reads off its diagram
-    _, _, shape, hooks, image = trace_forward(two_color)
-    if hook_decompose(shape) != hooks:
-        raise _Disagreement(
-            "hooks of the forward trace differ from hook_decompose of its diagram"
-            f" at {format_two_color(two_color)}"
-        )
-    return image
+        return f"closed-form inverse disagrees with the steps at {format_partition(partition)}"
+    if preimage.weight == n:
+        _, _, shape, hooks, image = trace_forward(preimage)
+        if hook_decompose(shape) != hooks:
+            return (
+                "hooks of the forward trace differ from hook_decompose of its diagram"
+                f" at {format_two_color(preimage)}"
+            )
+        if image == partition:
+            return None
+    return f"round trip failed at {format_partition(partition)}"
 
 
 def _round_trips(
-    n: int,
-    objects: Iterator,
-    there: Callable,
-    back: Callable,
-    holds: Callable[..., bool],
-    show: Callable[..., str],
+    n: int, objects: Iterator, trip: Callable, show: Callable[..., str]
 ) -> tuple[int, str | None]:
-    # Map each object there and back, stopping at the first whose maps
-    # raise `_Disagreement` (a fast path differs from its steps), whose
-    # image fails ``holds`` or does not map back to it, or whose maps raise
-    # anything else.  Returns the objects checked and a witness for that
-    # first one; on a stop, the objects after it are left in ``objects``.
+    # Run ``trip`` on each object, stopping at the first whose trip returns
+    # a witness or raises.  Returns the objects checked and that witness;
+    # on a stop, the objects after it are left in ``objects``.
     checked = 0
     for checked, obj in enumerate(objects, 1):
         try:
-            image = there(obj)
-            if holds(image) and back(image) == obj:
-                continue
-            what = "failed"
-        except _Disagreement as exc:
-            return checked, f"n={n}: {exc}"
+            failure = trip(n, obj)
         except Exception as exc:  # a raising map is a witness, not a crash
-            what = f"raised {type(exc).__name__}: {exc}"
-        return checked, f"n={n}: round trip {what} at {show(obj)}"
+            failure = f"round trip raised {type(exc).__name__}: {exc} at {show(obj)}"
+        if failure:
+            return checked, f"n={n}: {failure}"
     return checked, None
 
 
 def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
-    """Compare three independent counts and exercise the round trips.
+    """Compare three independent counts and run the round trips.
 
     For each n the Schmidt count comes from `schmidt_counts`, the two-color
-    count from `two_color_counts` and the third from the series; each table
-    is built once, for every n up to max_n, without enumerating.  Only for
-    n up to the cutoff are both sides enumerated, each read once as a
-    stream (`iter_two_color`, `iter_schmidt`) and held nowhere: the round
-    trips run exhaustively in both directions, each side's objects are
-    counted as they pass and checked against its count, and each fast
-    path is compared with the slow steps it stands for: on every Schmidt
-    partition there, the closed-form inverse with the inverse steps of
-    `trace_backward`, and on its preimage, which is every two-color
-    partition once, the hooks `trace_forward` reads off the pair with
-    those `hook_decompose` reads off the diagram it draws.  The
-    disagreement of a fast path and its steps is the witness, naming both
-    and the object.  A map that raises fails its round trip, and the
-    witness names the exception.  A length
-    mismatch is named before a round trip failure of the same n; of
-    several failures on one side, the first met is named, which on the
-    Schmidt side is the first in `iter_schmidt`'s heads-major order.
+    count from `two_color_counts` and the third from the series, each table
+    built once without enumerating.  For n up to the cutoff, both sides are
+    read once as streams (`iter_two_color`, `iter_schmidt`), counted as they
+    pass against their counts, and each object runs its side's trip:
+    `_two_color_trip` checks that the image has alternating sum n and maps
+    back; `_schmidt_trip` checks that the closed-form preimage equals the
+    one of the inverse steps and has weight n, and that, traced forward,
+    its hooks read off the pair equal those `hook_decompose` reads off its
+    diagram and its image is the partition.  A map that raises fails its
+    trip, and the witness names the exception.  The witness is the first
+    failure of the first failing n: its count mismatch, else its length
+    mismatch, else its first failed trip, the two-color side before the
+    Schmidt side, which is met in `iter_schmidt`'s heads-major order.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -261,23 +247,11 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
             witness = witness or f"n={n}: s={s} t={t} series={series}"
         if n <= roundtrip_cutoff:
             two_color_side = iter_two_color(n)
-            checked, failure = _round_trips(
-                n,
-                two_color_side,
-                two_color_to_schmidt,
-                schmidt_to_two_color,
-                lambda image: alternating_sum(image) == n,
-                format_two_color,
-            )
+            checked, failure = _round_trips(n, two_color_side, _two_color_trip, format_two_color)
             enumerated_t = checked + sum(1 for _ in two_color_side)
             schmidt_side = iter_schmidt(n)
             back_checked, back_failure = _round_trips(
-                n,
-                schmidt_side,
-                _inverse_checked,
-                _forward_checked,
-                lambda preimage: preimage.weight == n,
-                format_partition,
+                n, schmidt_side, _schmidt_trip, format_partition
             )
             enumerated_s = back_checked + sum(1 for _ in schmidt_side)
             if (enumerated_s, enumerated_t) != (s, t):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from schmidt.harness import (
 )
 from schmidt.partitions import (
     RefinedQuery,
+    TwoColorPartition,
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color_refined,
@@ -120,6 +122,64 @@ def test_verify_report_names_the_first_failure_in_heads_major_order(monkeypatch)
     assert report.witness == "n=3: round trip raised ValueError: boom at 3"
     assert [r.ok for r in report.records] == [True, True, False, True]
     assert report.records[2].round_trip_checked == 11
+
+
+# 2r+1g maps to 3+2, and 3+2 maps back to 2r+1g
+def test_verify_report_names_a_failed_two_color_round_trip(monkeypatch):
+    inverse = schmidt.harness.schmidt_to_two_color
+
+    def wrong(partition):
+        return TwoColorPartition((1,), (2,)) if partition == (3, 2) else inverse(partition)
+
+    monkeypatch.setattr(schmidt.harness, "schmidt_to_two_color", wrong)
+    report = verify_report(4, 4)
+    assert report.witness == "n=3: round trip failed at 2r+1g"
+    assert [r.ok for r in report.records] == [True, True, False, True]
+
+
+def test_verify_report_names_a_failed_schmidt_round_trip(monkeypatch):
+    steps = schmidt.harness.trace_forward
+
+    def wrong(two_color):
+        trace = steps(two_color)
+        return trace[:-1] + ((9,),) if two_color == TwoColorPartition((2,), (1,)) else trace
+
+    monkeypatch.setattr(schmidt.harness, "trace_forward", wrong)
+    report = verify_report(4, 4)
+    assert report.witness == "n=3: round trip failed at 3+2"
+    assert [r.round_trip_checked for r in report.records] == [4, 10, 13, 40]
+
+
+def test_verify_report_maps_and_traces_each_object_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        f = getattr(schmidt.harness, name)
+
+        def counted(arg):
+            calls[name] += 1
+            return f(arg)
+
+        return counted
+
+    names = (
+        "two_color_to_schmidt", "schmidt_to_two_color", "trace_backward",
+        "trace_forward", "hook_decompose",
+    )
+    for name in names:
+        monkeypatch.setattr(schmidt.harness, name, counting(name))
+    report = verify_report(6, 6)
+    assert report.ok
+    # each side has this many objects, since the counts agree
+    objects = sum(r.t_count for r in report.records)
+    # the inverse maps every two-color image back and every Schmidt partition there
+    assert calls == {
+        "two_color_to_schmidt": objects,
+        "schmidt_to_two_color": 2 * objects,
+        "trace_backward": objects,
+        "trace_forward": objects,
+        "hook_decompose": objects,
+    }
 
 
 def test_verify_report_counts_far_above_the_cutoff():
