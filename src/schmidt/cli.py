@@ -8,12 +8,16 @@ its lines (`_cmd_text`) or its report (`_cmd_report`, which writes the
 lines of `harness.format_report`) from the arguments, and the handler
 prints each line as it comes.
 The argument parser is built once per process, on the first call of
-`build_parser`, and every later `main` call reuses it.  An argv that
-names a subcommand is parsed by that subcommand's parser alone; the
-top-level parser only prints help or a usage error.  Importing this
-module loads only what `map` and `unmap` use: the report layer
-(`harness`, and `json` with it) is imported by the builders of `table`,
-`verify`, `refined` and `render` and by `_cmd_report`, when they run.
+`build_parser`, and every later `main` call reuses it.  An argv of just
+`map`, `unmap` or `render` and an operand that does not start with "-"
+has nothing to parse, so `main` hands the operand straight to that
+subcommand's builder.  Any other argv that names a subcommand is parsed
+by that subcommand's parser alone; the top-level parser only prints help
+or a usage error.  Both routes run in `main`'s one ``try``, so they share
+exit codes and messages.  Importing this module loads only what `map`
+and `unmap` use: the report layer (`harness`, and `json` with it) is
+imported by the builders of `table`, `verify`, `refined` and `render` and
+by `_cmd_report`, when they run.
 The builders of `table`, `verify`, `refined` and `render` first count
 their work and, through `_refuse`, refuse more than `ENTRY_LIMIT` objects
 (`table`, `verify`, `refined`), grid cells (`refined`) or diagram cells
@@ -128,14 +132,16 @@ def _refined(a: argparse.Namespace):
 def _render(a: argparse.Namespace) -> list[str]:
     # the diagram of a weight-w pair with m = max(#red, #green) holds the
     # parts plus a staircase on each side plus the diagonal: w + m² cells
-    two_color = parse_two_color(a.colored)
+    two_color = parse_two_color(a.operand)
     m = max(two_color.num_red, two_color.num_green)
     _refuse("render would draw {:,} cells", two_color.weight + m * m, ENTRY_LIMIT)
-    return _harness().render_text(two_color, a.colored)
+    return _harness().render_text(two_color, a.operand)
 
 
 _parser: argparse.ArgumentParser | None = None
 _commands: dict[str, argparse.ArgumentParser] = {}  # argparse's own, by name
+# The subcommands whose only argument is the positional ``operand``.
+_OPERAND_COMMANDS = frozenset({"map", "unmap", "render"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     makes a fresh namespace each time and leaves the parser unchanged.
     `main` calls this on every call, so a wrapper put over it still sees
     one call per `main` call.  `main` finds each subcommand's parser in
-    argparse's own map of them by name.
+    argparse's own map of them by name.  The positional argument of
+    `map`, `unmap` and `render` is stored as ``operand`` (shown as
+    ``colored`` or ``partition``), so that when `main` skips the parser
+    for ``[command, operand]`` it builds the same namespace from the
+    subcommand's defaults.
     """
     global _parser, _commands
     if _parser is not None:
@@ -157,17 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     cmd = sub.add_parser("map", help="map a colored partition, e.g. 2r+1g")
-    cmd.add_argument("colored")
+    cmd.add_argument("operand", metavar="colored")
     cmd.set_defaults(
         func=_cmd_text,
-        build=lambda a: [format_partition(two_color_to_schmidt(parse_two_color(a.colored)))],
+        build=lambda a: [format_partition(two_color_to_schmidt(parse_two_color(a.operand)))],
     )
 
     cmd = sub.add_parser("unmap", help="invert the map on a plain partition, e.g. 3+2")
-    cmd.add_argument("partition")
+    cmd.add_argument("operand", metavar="partition")
     cmd.set_defaults(
         func=_cmd_text,
-        build=lambda a: [format_two_color(schmidt_to_two_color(parse_partition(a.partition)))],
+        build=lambda a: [format_two_color(schmidt_to_two_color(parse_partition(a.operand)))],
     )
 
     cmd = sub.add_parser("table", help="print the full correspondence at one weight")
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_report, build=_refined)
 
     cmd = sub.add_parser("render", help="show every intermediate of the forward map")
-    cmd.add_argument("colored")
+    cmd.add_argument("operand", metavar="colored")
     cmd.set_defaults(func=_cmd_text, build=_render)
 
     _parser, _commands = parser, sub.choices
@@ -201,11 +211,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # A subcommand's parser parses its own arguments; through the top-level
-    # parser, whose subparsers action calls it, argv would be parsed twice.
     command = _commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
+        if len(argv) == 2 and argv[0] in _OPERAND_COMMANDS and not argv[1].startswith("-"):
+            # Nothing to parse: this is the namespace the subcommand's parser
+            # would make, found through its public defaults.
+            build, func = command.get_default("build"), command.get_default("func")
+            args = argparse.Namespace(operand=argv[1], func=func, build=build)
+        else:
+            # A subcommand's parser parses its own arguments; through the
+            # top-level parser, whose subparsers action calls it, argv would
+            # be parsed twice.
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # parse errors and the library's bound checks
         message = str(exc)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import schmidt.cli
 import schmidt.harness
@@ -111,25 +111,47 @@ def test_help_lists_every_subcommand(capsys):
     assert listed == ["map", "unmap", "table", "verify", "refined", "render"]
 
 
-def test_an_extra_argument_is_reported_by_the_subcommand(capsys):
+@pytest.mark.parametrize("argv", [("map", "1r", "x"), ("render", "1g", "x")])
+def test_an_extra_argument_is_reported_by_the_subcommand(capsys, argv):
+    command = argv[0]
     with pytest.raises(SystemExit) as exc:
-        main(["map", "1r", "x"])
+        main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert err.startswith("usage: schmidt map [-h] colored\n")
+    assert err.startswith(f"usage: schmidt {command} [-h] colored\n")
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert errors == ["schmidt map: error: unrecognized arguments: x"]
+    assert errors == [f"schmidt {command}: error: unrecognized arguments: x"]
+
+
+@pytest.mark.parametrize(
+    "argv,usage", [(("map", "-h"), "colored"), (("unmap", "--help"), "partition")]
+)
+def test_an_operand_command_prints_its_help(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith(f"usage: schmidt {argv[0]} [-h] {usage}\n")
+
+
+def test_a_missing_operand_is_reported_by_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["map"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == "schmidt map: error: the following arguments are required: colored"
 
 
 @pytest.mark.parametrize(
     "argv",
-    [("map", "2x"), ("unmap", "1+2"), ("render", "3q"), ("unmap", "²")],
+    # argparse takes "-3" for a positional, so the grammar rejects it
+    [("map", "2x"), ("unmap", "1+2"), ("render", "3q"), ("unmap", "²"), ("unmap", "-3")],
 )
 def test_parse_failures_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_non_decimal_digit_gets_the_grammar_message(capsys):
@@ -755,7 +777,10 @@ def argvs(draw):
     text = texts(10**5 if command == "map" else 10**20)
     argv = [command]
     if command in ("map", "unmap", "render"):
-        argv.append(draw(text))
+        # now and then through argparse: after "--", or starting with "-"
+        argv += ["--"] if draw(st.sampled_from((False, False, True))) else []
+        operand = draw(text)
+        argv.append("-" + operand if draw(st.sampled_from((False, False, True))) else operand)
     integer = (st.integers(-3, 12) | st.integers(13, 3000) | st.integers(min_value=10**19)).map(str)
     options = [option for name, option in INTEGER_OPTIONS if name == command]
     options += ["--format"] if command in ("verify", "refined") else []
@@ -768,6 +793,17 @@ def argvs(draw):
     return argv
 
 
+def outcome(argv):
+    """Exit code, stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(argvs())
 @settings(deadline=1000)
 def test_main_exits_0_or_2_with_one_error_line(argv):
@@ -775,17 +811,25 @@ def test_main_exits_0_or_2_with_one_error_line(argv):
     # seconds (verify --roundtrip-cutoff 20, 8.6 s; verify --max-n 3000,
     # 2.7 s), past the deadline.  Lower limits keep every run short and
     # still reach each refusal.
-    out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch.object(schmidt.cli, "ENTRY_LIMIT", 10_000),
         mock.patch.object(schmidt.cli, "TABLE_LIMIT", 250_000),
-        contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(err),
     ):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's help and usage errors
-            code = exc.code
+        code, _, err = outcome(argv)
     assert code in (0, 2)
     if code == 2:
-        assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("command", ["map", "unmap", "render"])
+@given(text=texts(10**5))
+@example(text="")
+@example(text="0")
+@example(text="+")
+@example(text="٣+1")
+@example(text=HUGE + "g")
+@settings(deadline=1000)
+def test_an_operand_gives_the_same_outcome_without_argparse(command, text):
+    # main skips argparse for [command, operand]; "--" makes argparse parse
+    # the operand, which it passes on unchanged
+    assert outcome([command, text]) == outcome([command, "--", text])
