@@ -20,7 +20,7 @@ once, with `wright_build`, for `render`; `hook_decompose` reads the same
 hooks back off a drawn diagram through `wright_split`, and `verify`
 checks the one against the other.  The inverse steps read the pair off
 the hooks.  Both halves of Wright's bijection transpose with the one
-`conjugate`.
+column walk behind `conjugate`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .partitions import Parts, TwoColorPartition, _Frozen, _unchecked, as_partition, conjugate
+from .partitions import Parts, TwoColorPartition, _Frozen, _columns, _unchecked, as_partition, conjugate
 
 __all__ = [
     "DistinctPair",
@@ -166,7 +166,8 @@ def wright_build(pair: DistinctPair) -> Parts:
     nonzero overhangs, the inverse of how `wright_split` reads the legs,
     and each is at most m <= row m long.  The cost is O(m) plus that of
     `conjugate`, which grows with the rows below the square, not with the
-    length of an arm.
+    length of an arm.  Those rows are built in one list, made a tuple, and
+    copied once more behind the square's m rows.
     """
     m = pair.m
     overhangs = list(map(operator.add, pair.legs, range(1 - m, 1)))
@@ -174,8 +175,7 @@ def wright_build(pair: DistinctPair) -> Parts:
     del overhangs[len(overhangs) - overhangs.count(0) :]
     # a list made into a tuple, not tuple(map(...)): see schmidt_to_hooks
     rows = list(map(operator.add, pair.arms, range(1, m + 1)))
-    rows += conjugate(overhangs)
-    return tuple(rows)
+    return tuple(rows) + conjugate(overhangs)
 
 
 def durfee_square(shape: Parts) -> int:
@@ -189,19 +189,21 @@ def durfee_square(shape: Parts) -> int:
 def wright_split(shape: Parts) -> DistinctPair:
     """Read arms and legs off the diagonal of a nonempty diagram.
 
-    `as_partition` checks the shape.  Rows 1..m, the Durfee square's, give
-    the arms.  Column j <= m holds m cells of the square plus column j of
-    the rows below it, which are at most m long, so the legs come from the
-    conjugate of those rows alone: the cost grows with the rows below the
-    square, not with the length of a row.  Row j and column j of a
-    partition reach at least j inside its Durfee square and do not grow
-    with j, so arms and legs strictly decrease from >= 0.
+    `as_partition` checks the shape, once.  Rows 1..m, the Durfee
+    square's, give the arms.  Column j <= m holds m cells of the square
+    plus column j of the rows below it, which are at most m long, so the
+    legs come from the columns of those rows alone, read off the checked
+    shape in place by the transpose behind `conjugate`.  The cost is the
+    check plus O(runs * log rows + m) below the square, not the length of
+    a row.  Row j and column j of a partition reach at least j inside its
+    Durfee square and do not grow with j, so arms and legs strictly
+    decrease from >= 0.
     """
     shape = as_partition(shape)
     if not shape:
         raise ValueError("cannot split the empty shape")
     m = durfee_square(shape)
-    below = conjugate(shape[m:])
+    below = _columns(shape, m)
     arms = list(map(operator.sub, shape[:m], range(1, m + 1)))
     legs = list(map(operator.add, below + (0,) * (m - len(below)), range(m - 1, -1, -1)))
     return _unchecked(DistinctPair, tuple(arms), tuple(legs))

@@ -84,9 +84,18 @@ TABLE_LIMIT = 25_000_000
 
 def _refuse(work: str, count: int, limit: int) -> None:
     """Raise the one-line refusal when ``count`` passes ``limit``; ``work``
-    says what would be done, with one field for the count."""
+    says what would be done, with one field for the count.
+
+    A count of more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``) is written as a power of ten it
+    reaches.
+    """
     if count > limit:
-        raise ValueError(f"{work.format(count)}; the limit is {limit:,}")
+        try:
+            shown = f"{count:,}"
+        except ValueError:
+            shown = f"at least 10^{sys.get_int_max_str_digits()}"
+        raise ValueError(f"{work.format(shown)}; the limit is {limit:,}")
 
 
 def _check_cost(command: str, first: int, last: int, sides: int) -> None:
@@ -104,7 +113,7 @@ def _check_cost(command: str, first: int, last: int, sides: int) -> None:
         t = sides * count_two_color(n)
         total += t if n >= first else 0
         more = "" if n == last else "more than "
-        _refuse(f"{command} would enumerate {more}{{:,}} objects", max(total, t), ENTRY_LIMIT)
+        _refuse(f"{command} would enumerate {more}{{}} objects", max(total, t), ENTRY_LIMIT)
 
 
 def _table(a: argparse.Namespace):
@@ -116,7 +125,7 @@ def _verify(a: argparse.Namespace):
     # both sides of each weight up to the cutoff are enumerated, and the count
     # tables take max_n² additions; a nonpositive max_n is left to the library
     _check_cost("verify", 1, min(a.max_n, a.roundtrip_cutoff), sides=2)
-    _refuse("verify would build its count tables in {:,} additions", max(a.max_n, 0) ** 2, TABLE_LIMIT)
+    _refuse("verify would build its count tables in {} additions", max(a.max_n, 0) ** 2, TABLE_LIMIT)
     return _harness().verify_report(a.max_n, a.roundtrip_cutoff)
 
 
@@ -125,7 +134,7 @@ def _refined(a: argparse.Namespace):
     bounds = (a.max_n, a.max_r, a.max_l, a.max_p, a.max_q)
     # one record per weight and cell; a bound the library rejects is left to it
     cells = a.max_n * a.max_r * a.max_l * a.max_p * a.max_q if min(bounds) >= 1 else 0
-    _refuse("refined would report {:,} cells", cells, ENTRY_LIMIT)
+    _refuse("refined would report {} cells", cells, ENTRY_LIMIT)
     return _harness().refined_report(*bounds)
 
 
@@ -134,7 +143,7 @@ def _render(a: argparse.Namespace) -> list[str]:
     # parts plus a staircase on each side plus the diagonal: w + m² cells
     two_color = parse_two_color(a.operand)
     m = max(two_color.num_red, two_color.num_green)
-    _refuse("render would draw {:,} cells", two_color.weight + m * m, ENTRY_LIMIT)
+    _refuse("render would draw {} cells", two_color.weight + m * m, ENTRY_LIMIT)
     return _harness().render_text(two_color, a.operand)
 
 

@@ -125,24 +125,36 @@ def alternating_sum(p: Parts) -> int:
 def conjugate(p: Parts) -> Parts:
     """Transpose the Young diagram of ``p``.
 
-    The rows are read as runs of equal length, from the last row up.  A
-    run ending at row j whose rows are d cells longer than the next row
-    down (or than 0, for the last run) contributes d columns of length j,
-    and the last run gives the longest columns, so the columns come out in
-    order into one list.  The start of each run is found by binary search,
-    so past the check of the rows, one pass in C, the cost is
-    O(runs * log rows) plus the output, however many rows a run holds.
+    `as_partition` checks the rows, one pass in C, and `_columns` reads
+    the columns off them in O(runs * log rows) plus the output, however
+    many rows a run holds.
     """
-    p = as_partition(p)
-    columns = []
-    below = 0
-    j = len(p)
-    while j:
-        part = p[j - 1]
-        columns += [j] * (part - below)
-        below = part
-        # p is decreasing, so -p is increasing: the first row as long as p[j - 1]
-        j = bisect.bisect_left(p, -part, 0, j, key=operator.neg)
+    return _columns(as_partition(p), 0)
+
+
+def _columns(p: Parts, start: int) -> Parts:
+    # The columns of the rows p[start:] of a checked partition, read in
+    # place.  The rows are read as runs of equal length, from the top row
+    # down.  A run that ends above row j, with rows d cells longer than row
+    # j (or than 0, for the last run), gives d columns of length j - start,
+    # so the columns come out shortest first: the top run's list is the one
+    # the others extend, and it is reversed once and made a tuple.  The end
+    # of each run is found by binary search.
+    rows = len(p)
+    if start >= rows:
+        return ()
+    part = p[start]
+    # p is decreasing, so -p is increasing: the first row shorter than part
+    j = bisect.bisect_right(p, -part, start, rows, key=operator.neg)
+    shorter = p[j] if j < rows else 0
+    columns = [j - start] * (part - shorter)
+    while j < rows:
+        part = shorter
+        k = bisect.bisect_right(p, -part, j, rows, key=operator.neg)
+        shorter = p[k] if k < rows else 0
+        columns += [k - start] * (part - shorter)
+        j = k
+    columns.reverse()
     return tuple(columns)
 
 

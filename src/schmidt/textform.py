@@ -4,8 +4,10 @@ Plain partitions join their parts with "+", for example "3+2+1"; the
 empty partition is written "0".  The written sequence must already be
 weakly decreasing.  Colored partitions attach "r" or "g" to every part,
 for example "2r+1g"; the parts may appear in any order and are read as a
-pair of multisets.  Canonical emission lists parts by size, largest
-first, with red before green on equal sizes.  `FORMATS` names the
+pair of multisets.  A part longer than the interpreter converts
+(``sys.get_int_max_str_digits()``, 4,300 digits by default) is a syntax
+error that gives its length.  Canonical emission lists parts by size,
+largest first, with red before green on equal sizes.  `FORMATS` names the
 formats a report is written in; it lives here, with the other text forms,
 so that the command line can list them without loading the report layer.
 """
@@ -40,7 +42,10 @@ def parse_partition(text: str) -> Parts:
     for token in text.split("+"):
         if not token.isdecimal():
             raise PartitionSyntaxError(f"bad part {token!r} in {text!r}")
-        parts.append(int(token))
+        try:
+            parts.append(int(token))
+        except ValueError:  # past sys.get_int_max_str_digits(); its message is for programs
+            raise PartitionSyntaxError(f"part too long: {len(token):,} digits") from None
     try:
         return as_partition(parts)
     except ValueError as exc:
@@ -62,7 +67,11 @@ def parse_two_color(text: str) -> TwoColorPartition:
         match = _COLORED_PART.match(token)
         if match is None:
             raise PartitionSyntaxError(f"bad colored part {token!r} in {text!r}")
-        size = int(match.group(1))
+        digits = match.group(1)
+        try:
+            size = int(digits)
+        except ValueError:  # as in parse_partition
+            raise PartitionSyntaxError(f"part too long: {len(digits):,} digits") from None
         if size < 1:
             raise PartitionSyntaxError(f"colored parts must be positive: {token!r}")
         (red if match.group(2) == "r" else green).append(size)

@@ -159,6 +159,29 @@ def test_non_decimal_digit_gets_the_grammar_message(capsys):
     assert (code, out, err) == (2, "", "error: bad part '²' in '²'\n")
 
 
+@pytest.mark.parametrize("command,suffix", [("unmap", ""), ("unmap", "+1"), ("map", "g"), ("render", "r")])
+def test_a_part_past_the_digit_limit_gets_the_grammar_message(capsys, digit_limit, command, suffix):
+    operand = "9" * (digit_limit + 1) + suffix
+    message = f"error: part too long: {digit_limit + 1:,} digits\n"
+    assert run_cli(capsys, command, operand) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (("render", "5r+{}r"), "render would draw at least 10^{} cells; the limit is 250,000"),
+        (
+            ("verify", "--max-n", "{}"),
+            "verify would build its count tables in at least 10^{} additions; the limit is 25,000,000",
+        ),
+    ],
+)
+def test_a_refusal_states_a_count_past_the_digit_limit(capsys, digit_limit, argv, refusal):
+    # the count has more digits than the interpreter writes out
+    argv = [arg.format("9" * digit_limit) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {refusal.format(digit_limit)}\n")
+
+
 def test_table_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "3")
     assert code == 0

@@ -121,6 +121,17 @@ def test_conjugate_cost_follows_runs_of_rows():
     assert time.perf_counter() - start < 0.4
 
 
+def test_conjugate_is_linear_in_its_runs():
+    # 20,000 runs of one row each, a staircase that is its own conjugate.
+    # Every run extends one list, about 0.02 s on a 2-vCPU x86 machine with
+    # CPython 3.11; a tuple concatenated per run copies the columns so far
+    # each time, and took 0.72 s.
+    p = tuple(range(20_000, 0, -1))
+    start = time.perf_counter()
+    assert conjugate(p) == p
+    assert time.perf_counter() - start < 0.25
+
+
 def test_conjugate_holds_one_list_beside_its_output():
     # 2,000 runs of one row each: the columns are gathered in one list and
     # made a tuple once, so beyond the output (its tuple and the ints above

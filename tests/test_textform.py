@@ -49,6 +49,16 @@ def test_colored_rejects(bad):
         parse_two_color(bad)
 
 
+def test_a_part_past_the_digit_limit_is_too_long(digit_limit):
+    digits = "9" * digit_limit
+    assert parse_partition(digits) == (int(digits),)
+    assert parse_two_color(f"1r+{digits}g") == TwoColorPartition((1,), (int(digits),))
+    for parse, text in [(parse_partition, "1+" + digits + "9"), (parse_two_color, f"1r+{digits}9g")]:
+        with pytest.raises(PartitionSyntaxError) as error:
+            parse(text)
+        assert str(error.value) == f"part too long: {digit_limit + 1} digits"
+
+
 def test_canonical_emission_breaks_ties_red_first():
     tc = TwoColorPartition((1, 1), (3, 2, 1))
     assert format_two_color(tc) == "3g+2g+1r+1r+1g"

@@ -19,6 +19,7 @@ from schmidt.bijection import (
     trace_backward,
     trace_forward,
     two_color_to_schmidt,
+    wright_build,
     wright_split,
 )
 from schmidt.partitions import (
@@ -130,3 +131,13 @@ def test_a_round_trip_checks_only_its_raw_tuples(monkeypatch):
     partition_checks = count_calls(monkeypatch, schmidt.partitions.as_partition)
     assert schmidt_to_two_color(two_color_to_schmidt(tc)) == tc
     assert (len(count_checks), len(partition_checks)) == (0, 2)
+
+
+def test_wright_split_checks_its_shape_once(monkeypatch):
+    # the rows below the Durfee square are transposed in place, not checked
+    # again by conjugate
+    shapes = [(1,), (3, 3, 3), (5, 1, 1, 1), (4, 4, 3, 3, 2, 1), (2, 2) + (1,) * 50]
+    checks = count_calls(monkeypatch, schmidt.partitions.as_partition)
+    pairs = [wright_split(shape) for shape in shapes]
+    assert len(checks) == len(shapes)
+    assert [wright_build(pair) for pair in pairs] == shapes
