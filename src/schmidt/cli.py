@@ -77,8 +77,8 @@ def integer(text: str) -> int:
 # 6.3-7.1 s as JSON at 53 MB; the largest, 250,000 cells, 6 s as JSON at
 # 74 MB (CPython 3.11, one core of a shared 2-vCPU machine).
 ENTRY_LIMIT = 250_000
-# Most additions verify's count tables may take, about max_n squared.  The
-# largest run allowed, --max-n 5000, takes 7-11 s at 20 MB (same machine).
+# Most additions verify's O(max_n²) tables, the Schmidt DP and the series,
+# may take.  The largest run allowed, --max-n 5000, takes 4.0-5.2 s at 16.4 MB (same machine).
 TABLE_LIMIT = 25_000_000
 
 

@@ -1,7 +1,7 @@
 """Verification reports: count agreement, round trips, and refinements.
 
 `verify_report` compares three counts built without enumeration (the
-Schmidt-side DP, the convolution of partition numbers, and the series),
+Schmidt-side DP, the recurrence from Jacobi's identity, and the series),
 and up to its round-trip cutoff streams both sides through one trip
 each: `_two_color_trip` maps a two-color partition there and back, and
 `_schmidt_trip` maps a Schmidt partition back and there, checking the
@@ -218,7 +218,7 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     """Compare three independent counts and run the round trips.
 
     For each n the Schmidt count comes from `schmidt_counts`, the two-color
-    count from `two_color_counts` and the third from the series, each table
+    count from Jacobi's identity and the third from the series, each table
     built once without enumerating.  For n up to the cutoff, both sides are
     read once as streams (`iter_two_color`, `iter_schmidt`), counted as they
     pass against their counts, and each object runs its side's trip:

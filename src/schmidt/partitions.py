@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from collections.abc import Iterable, Iterator
 
@@ -348,29 +349,28 @@ def enumerate_two_color(n: int) -> list[TwoColorPartition]:
 def two_color_counts(max_n: int) -> tuple[int, ...]:
     """Number of two-color partitions of n, for n = 0..max_n.
 
-    A pair of weights k and n - k gives p(k) * p(n - k) pairs, so the counts
-    are the self-convolution of the partition numbers p, which come from
-    Euler's pentagonal recurrence
-
-        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).
+    Their series T = 1/(q;q)², (q;q) = (1-q)(1-q²)..., has T (q;q)³ = (q;q).  By
+    Jacobi, (q;q)³ is the sum of (-1)^k (2k+1) q^(k(k+1)/2) over k >= 0; by Euler,
+    (q;q) is that of e(n) q^n, e(n) = (-1)^j at n = j(3j-1)/2 for integers j, else 0.
+    So t(n) = e(n) - sum over k >= 1 of (-1)^k (2k+1) t(n - k(k+1)/2).
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    p = [1] + [0] * max_n  # allocated whole, as in schmidt_counts
-    for k in range(1, max_n + 1):
-        total = 0
-        for j in itertools.count(1):
-            pentagonal = j * (3 * j - 1) // 2
-            if pentagonal > k:
-                break
-            term = p[k - pentagonal] + (p[k - pentagonal - j] if pentagonal + j <= k else 0)
-            total += term if j % 2 else -term
-        p[k] = total
-    return tuple(sum(map(operator.mul, p[: n + 1], reversed(p[: n + 1]))) for n in range(max_n + 1))
+    t = [0] * (max_n + 1)  # allocated whole, as in schmidt_counts; e(n) first
+    for j in range(-math.isqrt(max_n), math.isqrt(max_n) + 1):
+        if (pentagonal := j * (3 * j - 1) // 2) <= max_n:
+            t[pentagonal] = -1 if j % 2 else 1
+    steps = []  # ((-1)^(k+1) (2k+1), k(k+1)/2) for each k(k+1)/2 <= n
+    for n in range(1, max_n + 1):
+        k = len(steps) + 1
+        if k * (k + 1) // 2 == n:
+            steps.append((2 * k + 1 if k % 2 else -2 * k - 1, n))
+        t[n] += sum([c * t[n - d] for c, d in steps])
+    return tuple(t)
 
 
 def count_two_color(n: int) -> int:
-    """Entry ``n`` of `two_color_counts(n)`: O(n²) additions, O(n) memory; for many large n,
+    """Entry ``n`` of `two_color_counts(n)`: O(n^1.5) products, O(n) memory; for many large n,
     call that once.  The CLI's entry check calls this for n = 1, 2, ... up to 28 at most."""
     return two_color_counts(n)[n]
 

@@ -6,15 +6,17 @@ weakly decreasing.  Colored partitions attach "r" or "g" to every part,
 for example "2r+1g"; the parts may appear in any order and are read as a
 pair of multisets.  A part longer than the interpreter converts
 (``sys.get_int_max_str_digits()``, 4,300 digits by default) is a syntax
-error that gives its length.  Canonical emission lists parts by size,
-largest first, with red before green on equal sizes.  `FORMATS` names the
-formats a report is written in; it lives here, with the other text forms,
-so that the command line can list them without loading the report layer.
+error that gives its length, and writing one is a ValueError.  Canonical
+emission lists parts by size, largest first, with red before green on
+equal sizes.  `FORMATS` names the formats a report is written in; it lives
+here, with the other text forms, so that the command line can list them
+without loading the report layer.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .partitions import Parts, TwoColorPartition, _unchecked, as_partition
 
@@ -55,7 +57,11 @@ def parse_partition(text: str) -> Parts:
 def format_partition(p: Parts) -> str:
     """Emit the plain grammar; the empty partition becomes "0"."""
     p = as_partition(p)
-    return "+".join(str(x) for x in p) if p else "0"
+    try:
+        return "+".join(str(x) for x in p) if p else "0"
+    except ValueError:  # a part past sys.get_int_max_str_digits(), as in parse_partition
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"part too long to write: more than {limit:,} digits") from None
 
 
 def parse_two_color(text: str) -> TwoColorPartition:

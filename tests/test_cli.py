@@ -166,6 +166,14 @@ def test_a_part_past_the_digit_limit_gets_the_grammar_message(capsys, digit_limi
     assert run_cli(capsys, command, operand) == (2, "", message)
 
 
+def test_an_image_part_past_the_digit_limit_gets_its_own_message(capsys, digit_limit):
+    # every input part is short enough, but the image starts with 10^640
+    code, out, err = run_cli(capsys, "map", "9" * digit_limit + "r+1g")
+    assert (code, out) == (2, "")
+    assert err == f"error: part too long to write: more than {digit_limit:,} digits\n"
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize(
     "argv,refusal",
     [

@@ -59,6 +59,12 @@ def test_a_part_past_the_digit_limit_is_too_long(digit_limit):
         assert str(error.value) == f"part too long: {digit_limit + 1} digits"
 
 
+def test_writing_a_part_past_the_digit_limit_is_a_value_error(digit_limit):
+    assert format_partition((10**digit_limit - 1, 1)) == "9" * digit_limit + "+1"
+    with pytest.raises(ValueError, match=f"^part too long to write: more than {digit_limit} digits$"):
+        format_partition((10**digit_limit, 1))
+
+
 def test_canonical_emission_breaks_ties_red_first():
     tc = TwoColorPartition((1, 1), (3, 2, 1))
     assert format_two_color(tc) == "3g+2g+1r+1r+1g"
