@@ -58,9 +58,7 @@ class NotInImageError(ValueError):
 
 
 def _check_counts(name: str, seq: tuple[int, ...], strictly: bool) -> None:
-    if len(seq) < 1:
-        raise ValueError(f"{name} must be nonempty")
-    if min(seq) < 0:
+    if seq and min(seq) < 0:
         raise ValueError(f"{name} entries must be nonnegative: {seq!r}")
     # neighbours are compared through an offset iterator, without a copy
     if not all(map(operator.gt if strictly else operator.ge, seq, itertools.islice(seq, 1, None))):
@@ -79,7 +77,7 @@ class PaddedPair(_Frozen):
             raise ValueError("padded sequences must have equal length")
         _check_counts("padded red", red, strictly=False)
         _check_counts("padded green", green, strictly=False)
-        if red[-1] < 1 and green[-1] < 1:
+        if red and red[-1] < 1 and green[-1] < 1:
             raise ValueError("at least one color must be zero-free")
         super().__init__(red, green)
 
@@ -111,12 +109,10 @@ def pad_colors(two_color: TwoColorPartition) -> PaddedPair:
 
     Needs no check: both colors are partitions, so zeros appended to them
     keep them weakly decreasing and nonnegative, and the longer one stays
-    zero-free.
+    zero-free.  The empty two-color partition pads to two empty sequences.
     """
     red, green = two_color.red, two_color.green
     m = max(len(red), len(green))
-    if m == 0:
-        raise ValueError("cannot pad the empty two-color partition")
     return _unchecked(PaddedPair, red + (0,) * (m - len(red)), green + (0,) * (m - len(green)))
 
 
@@ -187,7 +183,7 @@ def durfee_square(shape: Parts) -> int:
 
 
 def wright_split(shape: Parts) -> DistinctPair:
-    """Read arms and legs off the diagonal of a nonempty diagram.
+    """Read arms and legs off the diagonal of a diagram.
 
     `as_partition` checks the shape, once.  Rows 1..m, the Durfee
     square's, give the arms.  Column j <= m holds m cells of the square
@@ -197,11 +193,9 @@ def wright_split(shape: Parts) -> DistinctPair:
     check plus O(runs * log rows + m) below the square, not the length of
     a row.  Row j and column j of a partition reach at least j inside its
     Durfee square and do not grow with j, so arms and legs strictly
-    decrease from >= 0.
+    decrease from >= 0.  The empty diagram has an empty diagonal, m = 0.
     """
     shape = as_partition(shape)
-    if not shape:
-        raise ValueError("cannot split the empty shape")
     m = durfee_square(shape)
     below = _columns(shape, m)
     arms = list(map(operator.sub, shape[:m], range(1, m + 1)))
@@ -240,14 +234,15 @@ def hook_decompose(shape: Parts) -> tuple[int, ...]:
 def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
     """Validate an interleaved hook-count vector.
 
-    Requires even positive length, nonnegative entries, and strictly
-    decreasing order (which makes all parts distinct and every cell count
-    positive).  Raises NotInImageError otherwise.
+    Requires even length, nonnegative entries, and strictly decreasing
+    order (which makes all parts distinct and every cell count positive).
+    The empty vector, the hooks of the empty diagram, passes.  Raises
+    NotInImageError otherwise.
     """
     hooks = tuple(hooks)
-    if not hooks or len(hooks) % 2 != 0:
-        raise NotInImageError(f"hook vector must have even positive length: {hooks!r}")
-    if min(hooks) < 0:
+    if len(hooks) % 2 != 0:
+        raise NotInImageError(f"hook vector must have even length: {hooks!r}")
+    if hooks and min(hooks) < 0:
         raise NotInImageError(f"hook counts must be nonnegative: {hooks!r}")
     if not all(map(operator.gt, hooks, itertools.islice(hooks, 1, None))):
         raise NotInImageError(f"hook counts must be strictly decreasing: {hooks!r}")
@@ -294,8 +289,6 @@ def hooks_to_schmidt(hooks: tuple[int, ...]) -> Parts:
 def schmidt_to_hooks(partition: Parts) -> tuple[int, ...]:
     """Zero-pad to even length and add the staircase 2m-1, ..., 1, 0."""
     p = as_partition(partition)
-    if not p:
-        raise ValueError("cannot lift the empty partition")
     length = 2 * ((len(p) + 1) // 2)
     padded = p + (0,) * (length - len(p))
     # tuple() sizes a list exactly, but starts a map at ten slots and then
@@ -309,8 +302,8 @@ def trace_forward(
     """Every intermediate of the forward map: padded, pair, shape, hooks, image.
 
     The hooks come from the pair, not read back off the shape, which would
-    cost a second transpose and a second check.  Raises ValueError on the
-    empty two-color partition, which has no padding.
+    cost a second transpose and a second check.  The empty two-color
+    partition gives the empty value of each step.
     """
     padded = pad_colors(two_color)
     pair = add_staircase(padded)
@@ -322,8 +315,7 @@ def trace_backward(partition: Parts) -> tuple[tuple[int, ...], DistinctPair, Two
     """Every intermediate of the inverse steps: hooks, pair, preimage.
 
     The step-by-step inverse that `schmidt_to_two_color` computes in
-    closed form.  Raises ValueError on the empty partition, which has no
-    hooks.
+    closed form, on the empty partition too.
     """
     hooks = schmidt_to_hooks(partition)
     pair = hook_compose(hooks)
@@ -332,8 +324,6 @@ def trace_backward(partition: Parts) -> tuple[tuple[int, ...], DistinctPair, Two
 
 def two_color_to_schmidt(two_color: TwoColorPartition) -> Parts:
     """Full forward map; the result's alternating sum equals the weight."""
-    if not (two_color.red or two_color.green):
-        return ()
     return trace_forward(two_color)[-1]
 
 

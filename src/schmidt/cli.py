@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
-on success, 1 on a verification failure, 2 on usage or parse errors and
-on a number too large to process.
+on success, 1 on a verification failure, 2 on usage or parse errors, on
+a number too large to process and on a failed write; 141 on a closed pipe.
 Every subcommand is a builder plus one of two handlers: ``build`` makes
 its lines (`_cmd_text`) or its report (`_cmd_report`, which writes the
 lines of `harness.format_report`) from the arguments, and the handler
@@ -232,13 +232,21 @@ def main(argv: list[str] | None = None) -> int:
             # top-level parser, whose subparsers action calls it, argv would
             # be parsed twice.
             args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # A failed write raises here, inside the try, and not at exit.  A
+        # flush that fails drops what stdout held, so the one at exit passes.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # parse errors and the library's bound checks
         message = str(exc)
     except OverflowError as exc:  # a number too large for a size or an index
         message = f"number too large to process: {exc}"
     except MemoryError:
         message = "input too large to process: out of memory"
+    except BrokenPipeError:  # the reader of stdout has gone: stop silently, as SIGPIPE would
+        return 141
+    except OSError as exc:  # stdout cannot be written
+        message = f"cannot write output: {exc}"
     # printed once the handler has ended, so the failed work is freed first
     print(f"error: {message}", file=sys.stderr)
     return 2

@@ -156,9 +156,8 @@ def render_text(two_color: TwoColorPartition, colored: str) -> list[str]:
         f"red: {format_partition(two_color.red)}",
         f"green: {format_partition(two_color.green)}",
     ]
-    image: Parts = ()
+    _, pair, shape, hooks, image = trace_forward(two_color)
     if two_color.weight:
-        _, pair, shape, hooks, image = trace_forward(two_color)
         lines += [
             f"arms: {' '.join(map(str, pair.arms))}",
             f"legs: {' '.join(map(str, pair.legs))}",

@@ -22,6 +22,7 @@ from schmidt.bijection import (
     render_two_modular,
     schmidt_to_hooks,
     schmidt_to_two_color,
+    trace_backward,
     trace_forward,
     two_color_to_schmidt,
     wright_build,
@@ -81,7 +82,7 @@ def build_by_cells(arms, legs):
         (as_partition, ((0, 1),), ValueError, "parts must be positive integers: (0, 1)"),
         (as_partition, ((3, 1, 2),), ValueError, "parts must be weakly decreasing: (3, 1, 2)"),
         (PaddedPair, ((1,), (1, 0)), ValueError, "padded sequences must have equal length"),
-        (PaddedPair, ((), ()), ValueError, "padded red must be nonempty"),
+        (PaddedPair, ((1, 2), (1, 0)), ValueError, "padded red must be weakly decreasing: (1, 2)"),
         (
             PaddedPair,
             ((1, -1), (1, 0)),
@@ -96,15 +97,15 @@ def build_by_cells(arms, legs):
         ),
         (PaddedPair, ((1, 0), (1, 0)), ValueError, "at least one color must be zero-free"),
         (DistinctPair, ((1,), ()), ValueError, "arm and leg sequences must have equal length"),
-        (DistinctPair, ((), ()), ValueError, "arms must be nonempty"),
+        (DistinctPair, ((1, 0), (1, 1)), ValueError, "legs must be strictly decreasing: (1, 1)"),
         (DistinctPair, ((1, 0), (-1, 0)), ValueError, "legs entries must be nonnegative: (-1, 0)"),
         (DistinctPair, ((2, 2), (1, 0)), ValueError, "arms must be strictly decreasing: (2, 2)"),
-        (check_hooks, ((),), NotInImageError, "hook vector must have even positive length: ()"),
+        (check_hooks, ((1,),), NotInImageError, "hook vector must have even length: (1,)"),
         (
             check_hooks,
             ((3, 2, 1),),
             NotInImageError,
-            "hook vector must have even positive length: (3, 2, 1)",
+            "hook vector must have even length: (3, 2, 1)",
         ),
         (check_hooks, ((-1, 0),), NotInImageError, "hook counts must be nonnegative: (-1, 0)"),
         (
@@ -113,7 +114,7 @@ def build_by_cells(arms, legs):
             NotInImageError,
             "hook counts must be strictly decreasing: (3, 3, 1, 0)",
         ),
-        (hook_decompose, ((),), ValueError, "cannot split the empty shape"),
+        (hook_decompose, ((-1,),), ValueError, "parts must be positive integers: (-1,)"),
         (hook_decompose, ((1, 2),), ValueError, "parts must be weakly decreasing: (1, 2)"),
         (hook_decompose, ((0,),), ValueError, "parts must be positive integers: (0,)"),
         # a fault in the Durfee square's rows, in row m + 1 or in the rows
@@ -182,9 +183,32 @@ def test_pad_colors_examples():
     assert pad_colors(TwoColorPartition((1,), (1,))) == PaddedPair((1,), (1,))
 
 
-def test_pad_colors_rejects_empty():
-    with pytest.raises(ValueError):
-        pad_colors(TwoColorPartition((), ()))
+# each step with its input's empty value and the empty value it must give
+EMPTY_VALUES = [
+    (PaddedPair, ((), ()), PaddedPair((), ())),
+    (DistinctPair, ((), ()), DistinctPair((), ())),
+    (pad_colors, (TwoColorPartition(),), PaddedPair((), ())),
+    (add_staircase, (PaddedPair((), ()),), DistinctPair((), ())),
+    (remove_staircase, (DistinctPair((), ()),), TwoColorPartition()),
+    (wright_build, (DistinctPair((), ()),), ()),
+    (wright_split, ((),), DistinctPair((), ())),
+    (hook_decompose, ((),), ()),
+    (check_hooks, ((),), ()),
+    (hook_compose, ((),), DistinctPair((), ())),
+    (hooks_to_schmidt, ((),), ()),
+    (schmidt_to_hooks, ((),), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "step,args,empty", EMPTY_VALUES, ids=[row[0].__name__ for row in EMPTY_VALUES]
+)
+def test_steps_take_the_empty_value(step, args, empty):
+    # Wright's bijection is total: the empty diagram has the empty
+    # Frobenius symbol, m = 0, so each step maps the empty value of its
+    # input type to the empty value of its output type
+    result = step(*args)
+    assert result == empty and type(result) is type(empty)
 
 
 def test_padded_pair_validation():
@@ -212,8 +236,6 @@ def test_add_staircase(red, green, arms, legs):
 def test_staircase_weight_shift():
     for n in range(15):
         for tc in enumerate_two_color(n):
-            if tc.weight == 0:
-                continue
             pair = add_staircase(pad_colors(tc))
             m = pair.m
             assert sum(pair.arms) + sum(pair.legs) == n + m * (m - 1)
@@ -238,8 +260,6 @@ def test_remove_staircase_not_in_image():
 def test_staircase_round_trip():
     for n in range(11):
         for tc in enumerate_two_color(n):
-            if tc.weight == 0:
-                continue
             assert remove_staircase(add_staircase(pad_colors(tc))) == tc
 
 
@@ -270,24 +290,19 @@ def test_wright_split(shape, arms, legs):
     assert wright_split(shape) == DistinctPair(arms, legs)
 
 
-def test_wright_split_rejects_empty():
-    with pytest.raises(ValueError):
-        wright_split(())
-
-
 def test_wright_round_trip_on_all_shapes():
-    for n in range(1, 13):
+    for n in range(13):
         for shape in partitions_of(n):
             pair = wright_split(shape)
             assert wright_build(pair) == shape
 
 
 def test_wright_build_matches_cell_oracle():
-    pairs = [wright_split(shape) for n in range(1, 13) for shape in partitions_of(n)]
+    pairs = [wright_split(shape) for n in range(13) for shape in partitions_of(n)]
     # every pair with m <= 3 and entries <= 9, long legs beside short arms too
     pairs += [
         DistinctPair(arms, legs)
-        for m in range(1, 4)
+        for m in range(4)
         for arms in combinations(range(9, -1, -1), m)
         for legs in combinations(range(9, -1, -1), m)
     ]
@@ -333,7 +348,7 @@ def test_wright_build_matches_cell_oracle_on_long_legs(pair):
 def test_forward_trace_hooks_are_those_of_its_diagram():
     # trace_forward reads the hooks off the pair; hook_decompose reads them
     # off the diagram that wright_build draws from the same pair
-    for n in range(1, 13):
+    for n in range(13):
         for tc in enumerate_two_color(n):
             _, pair, shape, hooks, _ = trace_forward(tc)
             assert hooks == hook_decompose(shape)
@@ -362,7 +377,7 @@ def test_hook_decompose(shape, hooks):
 
 
 def test_hook_decompose_matches_cell_oracle():
-    for n in range(1, 11):
+    for n in range(11):
         for shape in partitions_of(n):
             assert hook_decompose(shape) == hooks_by_cells(shape)
 
@@ -385,14 +400,14 @@ def test_hook_compose(hooks, pair, shape):
     assert wright_build(hook_compose(hooks)) == shape
 
 
-@pytest.mark.parametrize("bad", [(3, 3, 1, 0), (1,), (), (2, 3), (1, -1)])
+@pytest.mark.parametrize("bad", [(3, 3, 1, 0), (1,), (4, 3, 2), (2, 3), (1, -1)])
 def test_hook_compose_rejects(bad):
     with pytest.raises(NotInImageError):
         hook_compose(bad)
 
 
 def test_hook_round_trip_on_all_shapes():
-    for n in range(1, 13):
+    for n in range(13):
         for shape in partitions_of(n):
             assert wright_build(hook_compose(hook_decompose(shape))) == shape
 
@@ -400,8 +415,8 @@ def test_hook_round_trip_on_all_shapes():
 def test_hook_round_trip_on_all_vectors():
     # hook_compose trusts that every vector check_hooks accepts is in the
     # image; this checks it on every strictly decreasing vector of length
-    # 2-8 with entries at most 11
-    for length in range(2, 9, 2):
+    # 0-8 with entries at most 11
+    for length in range(0, 9, 2):
         for hooks in combinations(range(11, -1, -1), length):
             assert hook_decompose(wright_build(hook_compose(hooks))) == hooks
 
@@ -409,7 +424,7 @@ def test_hook_round_trip_on_all_vectors():
 def test_hook_compose_matches_quadratic_leg_formula():
     # the legs' defining sum, recomputed for every hook, as oracle for the
     # running suffix sum
-    for length in range(2, 9, 2):
+    for length in range(0, 9, 2):
         for hooks in combinations(range(12, -1, -1), length):
             m = length // 2
             ones = [hooks[2 * j] - hooks[2 * j + 1] for j in range(m)]
@@ -427,7 +442,7 @@ def test_unmap_is_linear_in_the_number_of_hooks():
 
 
 def test_hook_counts_strictly_decreasing():
-    for n in range(1, 11):
+    for n in range(11):
         for shape in partitions_of(n):
             hooks = hook_decompose(shape)
             assert all(a > b for a, b in zip(hooks, hooks[1:]))
@@ -464,14 +479,7 @@ def test_schmidt_to_hooks(partition, hooks):
 def test_schmidt_hooks_round_trip():
     for n in range(9):
         for partition in enumerate_schmidt(n):
-            if not partition:
-                continue
             assert hooks_to_schmidt(schmidt_to_hooks(partition)) == partition
-
-
-def test_schmidt_to_hooks_rejects_empty():
-    with pytest.raises(ValueError):
-        schmidt_to_hooks(())
 
 
 # ------------------------------------------------------------- composites
@@ -506,7 +514,7 @@ def test_full_map_examples():
 
 
 def test_trace_forward_inverts_step_by_step():
-    for n in range(1, 11):
+    for n in range(11):
         for tc in enumerate_two_color(n):
             padded, pair, shape, hooks, image = trace_forward(tc)
             assert padded == pad_colors(tc)
@@ -517,9 +525,12 @@ def test_trace_forward_inverts_step_by_step():
             assert image == two_color_to_schmidt(tc)
 
 
-def test_trace_forward_rejects_empty():
-    with pytest.raises(ValueError):
-        trace_forward(TwoColorPartition((), ()))
+def test_the_traces_of_weight_zero():
+    # the steps' round trip of the empty value, against the closed form
+    empty = TwoColorPartition()
+    assert trace_forward(empty) == (PaddedPair((), ()), DistinctPair((), ()), (), (), ())
+    assert trace_backward(()) == ((), DistinctPair((), ()), empty)
+    assert trace_backward(())[-1] == schmidt_to_two_color(()) == empty
 
 
 def test_round_trips_exhaustive():
@@ -535,8 +546,6 @@ def test_round_trips_exhaustive():
 def test_hook_weight_identity():
     for n in range(11):
         for tc in enumerate_two_color(n):
-            if tc.weight == 0:
-                continue
             pair = add_staircase(pad_colors(tc))
             hooks = hook_decompose(wright_build(pair))
             assert sum(hooks[::2]) == n + pair.m * pair.m
@@ -545,11 +554,11 @@ def test_hook_weight_identity():
 def test_statistic_transport():
     # largest part of the image adds the two largest colored parts; the
     # image length parity records which color had more parts
-    for n in range(1, 11):
+    for n in range(11):
         for tc in enumerate_two_color(n):
             image = two_color_to_schmidt(tc)
             m = max(tc.num_red, tc.num_green)
-            assert image[0] == tc.max_red + tc.max_green
+            assert max(image, default=0) == tc.max_red + tc.max_green
             assert (len(image) + 1) // 2 == m
             assert (len(image) % 2 == 1) == (tc.num_red < tc.num_green)
 

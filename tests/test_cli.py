@@ -582,6 +582,71 @@ def assert_usage_error(proc):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class FailingStdout:
+    # a stdout whose write or flush raises ``error``
+    def __init__(self, failing, error):
+        self.failing, self.error = failing, error
+
+    def write(self, text):
+        if self.failing == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error,code,err",
+    [
+        (BrokenPipeError(32, "Broken pipe"), 141, ""),
+        (
+            OSError(28, "No space left on device"),
+            2,
+            "error: cannot write output: [Errno 28] No space left on device\n",
+        ),
+    ],
+)
+def test_a_stdout_that_cannot_be_written(capsys, monkeypatch, failing, error, code, err):
+    # a closed pipe stops silently with 128 + SIGPIPE; any other write
+    # error is one error line and exit 2, whether met in a write or in
+    # the flush after the last line
+    for argv in (["map", "2r+1g"], ["table", "--n", "3"], ["verify", "--max-n", "3"]):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(failing, error))
+        assert main(argv) == code
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", err)
+
+
+def test_a_closed_pipe_stops_silently():
+    # the reader goes after one line, as with "| head -1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schmidt", "table", "--n", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"20r <-> 20+20\n"
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="this system has no /dev/full")
+@pytest.mark.parametrize("argv", [("map", "2r+1g"), ("table", "--n", "12")])
+def test_a_full_device_is_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schmidt", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert_usage_error(proc)
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 HUGE = "99999999999999999999"
 
 

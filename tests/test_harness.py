@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import schmidt.cli
 import schmidt.harness
 from schmidt.bijection import schmidt_to_two_color
 from schmidt.harness import (
@@ -148,6 +149,33 @@ def test_verify_report_names_a_failed_schmidt_round_trip(monkeypatch):
     report = verify_report(4, 4)
     assert report.witness == "n=3: round trip failed at 3+2"
     assert [r.round_trip_checked for r in report.records] == [4, 10, 13, 40]
+
+
+def test_verify_report_names_a_count_mismatch_before_a_trip_failure(monkeypatch, capsys):
+    # the series off by one at n=3, and a failed round trip at the same n:
+    # the count mismatch is met first, so it is the witness
+    def off_by_one(max_n):
+        series = list(two_color_coefficients(max_n))
+        series[3] += 1
+        return series
+
+    inverse = schmidt.harness.schmidt_to_two_color
+
+    def wrong(partition):
+        return TwoColorPartition((1,), (2,)) if partition == (3, 2) else inverse(partition)
+
+    monkeypatch.setattr(schmidt.harness, "two_color_coefficients", off_by_one)
+    report = verify_report(4, 4)
+    assert report.witness == "n=3: s=10 t=10 series=11"
+    assert [r.ok for r in report.records] == [True, True, False, True]
+    monkeypatch.setattr(schmidt.harness, "schmidt_to_two_color", wrong)
+    report = verify_report(4, 4)
+    assert report.witness == "n=3: s=10 t=10 series=11"
+    assert [r.ok for r in report.records] == [True, True, False, True]
+    assert schmidt.cli.main(["verify", "--max-n", "4", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["witness"] == "n=3: s=10 t=10 series=11"
+    assert captured.err == "FAIL: n=3: s=10 t=10 series=11\n"
 
 
 def test_verify_report_maps_and_traces_each_object_once(monkeypatch):

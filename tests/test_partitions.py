@@ -317,7 +317,16 @@ def test_schmidt_counts_keeps_two_rows():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("table", [schmidt_counts, two_color_counts, count_schmidt, count_two_color])
+@pytest.mark.parametrize(
+    "table",
+    [
+        schmidt_counts,
+        two_color_counts,
+        count_schmidt,
+        count_two_color,
+        pytest.param(lambda n: list(partitions_of(n)), id="partitions_of"),
+    ],
+)
 def test_counts_reject_negative(table):
     with pytest.raises(ValueError, match="must be nonnegative"):
         table(-1)
