@@ -2,7 +2,8 @@
 
 Subcommands: map, unmap, table, verify, refined, render.  Exit codes: 0
 on success, 1 on a verification failure, 2 on usage or parse errors, on
-a number too large to process and on a failed write; 141 on a closed pipe.
+a number too large to process and on a failed write, whether or not the
+error line can be written to stderr; 141 on a closed pipe.
 Every subcommand is a builder plus one of two handlers: ``build`` makes
 its lines (`_cmd_text`) or its report (`_cmd_report`, which writes the
 lines of `harness.format_report`) from the arguments, and the handler
@@ -72,13 +73,13 @@ def integer(text: str) -> int:
 # objects they enumerate, so for them the limit bounds time, not memory:
 # the largest table allowed, --n 27 (240,840 objects), takes 10-13 s at
 # 15 MB max RSS, and verify at the largest cutoff allowed, 21, takes
-# 5.5-5.7 s at 15 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
+# 5.5-7.2 s at 15 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
 # --max-p 21 --max-q 26 (240,786 cells), takes 2.6-2.7 s as text and
 # 6.3-7.1 s as JSON at 53 MB; the largest, 250,000 cells, 6 s as JSON at
 # 74 MB (CPython 3.11, one core of a shared 2-vCPU machine).
 ENTRY_LIMIT = 250_000
 # Most additions verify's O(max_n²) tables, the Schmidt DP and the series,
-# may take.  The largest run allowed, --max-n 5000, takes 4.0-5.2 s at 16.4 MB (same machine).
+# may take.  The largest run allowed, --max-n 5000, takes 3.9-4.0 s at 16.4 MB (same machine).
 TABLE_LIMIT = 25_000_000
 
 
@@ -248,7 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # stdout cannot be written
         message = f"cannot write output: {exc}"
     # printed once the handler has ended, so the failed work is freed first
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr cannot be written either; the exit code still tells
+        pass
     return 2
 
 

@@ -2,20 +2,21 @@
 
 `verify_report` compares three counts built without enumeration (the
 Schmidt-side DP, the recurrence from Jacobi's identity, and the series),
-and up to its round-trip cutoff streams both sides through one trip
-each: `_two_color_trip` maps a two-color partition there and back, and
+and up to its round-trip cutoff `_round_trips` counts each side's stream
+and runs its trip on each object up to the first failure:
+`_two_color_trip` maps a two-color partition there and back, and
 `_schmidt_trip` maps a Schmidt partition back and there, checking the
 closed-form inverse and the forward hooks against the paper's steps on
-the way.  `refined_report` and `table_lines` enumerate; `refined_report`
-reads its literal counts off the Schmidt walk that it maps back.  Every
-report is a pure function of its arguments, a `_Frozen` value, and
-`format_report` writes it in any of `FORMATS` (from `textform`).
-`table_lines` and `render_text` are the pages of `table` and `render`.
-Pages and reports are iterables of lines without newlines;
-`format_report` and `table_lines` make each line as it is read, so a
-large report or table is never held whole.  The command line imports
-this module only for those commands, so `map` and `unmap` start without
-it.
+the way.  Each weight keeps its first failure.  `refined_report` and
+`table_lines` enumerate; `refined_report` reads its literal counts off
+the Schmidt walk that it maps back.  Every report is a pure function of
+its arguments, a `_Frozen` value, and `format_report` writes it in any
+of `FORMATS` (from `textform`).  `table_lines` and `render_text` are the
+pages of `table` and `render`.  Pages and reports are iterables of lines
+without newlines; `format_report` and `table_lines` make each line as it
+is read, so a large report or table is never held whole.  The command
+line imports this module only for those commands, so `map` and `unmap`
+start without it.
 """
 
 from __future__ import annotations
@@ -198,10 +199,9 @@ def _schmidt_trip(n: int, partition: Parts) -> str | None:
 
 def _round_trips(
     n: int, objects: Iterator, trip: Callable, show: Callable[..., str]
-) -> tuple[int, str | None]:
-    # Run ``trip`` on each object, stopping at the first whose trip returns
-    # a witness or raises.  Returns the objects checked and that witness;
-    # on a stop, the objects after it are left in ``objects``.
+) -> tuple[int, int, str | None]:
+    # Run ``trip`` on each object up to the first whose trip returns a witness
+    # or raises, then count the rest; returns checked, enumerated, witness.
     checked = 0
     for checked, obj in enumerate(objects, 1):
         try:
@@ -209,8 +209,8 @@ def _round_trips(
         except Exception as exc:  # a raising map is a witness, not a crash
             failure = f"round trip raised {type(exc).__name__}: {exc} at {show(obj)}"
         if failure:
-            return checked, f"n={n}: {failure}"
-    return checked, None
+            return checked, checked + sum(1 for _ in objects), f"n={n}: {failure}"
+    return checked, checked, None
 
 
 def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
@@ -218,18 +218,18 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
 
     For each n the Schmidt count comes from `schmidt_counts`, the two-color
     count from Jacobi's identity and the third from the series, each table
-    built once without enumerating.  For n up to the cutoff, both sides are
-    read once as streams (`iter_two_color`, `iter_schmidt`), counted as they
-    pass against their counts, and each object runs its side's trip:
-    `_two_color_trip` checks that the image has alternating sum n and maps
-    back; `_schmidt_trip` checks that the closed-form preimage equals the
-    one of the inverse steps and has weight n, and that, traced forward,
-    its hooks read off the pair equal those `hook_decompose` reads off its
-    diagram and its image is the partition.  A map that raises fails its
-    trip, and the witness names the exception.  The witness is the first
-    failure of the first failing n: its count mismatch, else its length
-    mismatch, else its first failed trip, the two-color side before the
-    Schmidt side, which is met in `iter_schmidt`'s heads-major order.
+    built once without enumerating.  Up to the cutoff, `_round_trips` counts
+    each side's stream (`iter_two_color`, `iter_schmidt`) and runs its trip
+    on each object up to the first failure: `_two_color_trip` checks that
+    the image has alternating sum n and maps back; `_schmidt_trip` checks
+    that the closed-form preimage equals the one of the inverse steps and
+    has weight n, and that, traced forward, its hooks read off the pair
+    equal those `hook_decompose` reads off its diagram and its image is the
+    partition.  A map that raises fails its trip, and the witness names the
+    exception.  Each n keeps one failure, the first of: its count mismatch,
+    its length mismatch, the two-color side's failed trip, the Schmidt
+    side's (in `iter_schmidt`'s heads-major order).  The witness is the
+    first failing n's; a record, or the report, is ok without one.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -240,33 +240,21 @@ def verify_report(max_n: int, roundtrip_cutoff: int = 12) -> VerifyReport:
     records = []
     witness = None
     for n, (s, t, series) in enumerate(counts, 1):
-        checked = 0
-        ok = s == t == series
-        if not ok:
-            witness = witness or f"n={n}: s={s} t={t} series={series}"
+        failure = None if s == t == series else f"n={n}: s={s} t={t} series={series}"
+        forth_checked = back_checked = 0
         if n <= roundtrip_cutoff:
-            two_color_side = iter_two_color(n)
-            checked, failure = _round_trips(n, two_color_side, _two_color_trip, format_two_color)
-            enumerated_t = checked + sum(1 for _ in two_color_side)
-            schmidt_side = iter_schmidt(n)
-            back_checked, back_failure = _round_trips(
-                n, schmidt_side, _schmidt_trip, format_partition
+            forth_checked, t_seen, forth = _round_trips(
+                n, iter_two_color(n), _two_color_trip, format_two_color
             )
-            enumerated_s = back_checked + sum(1 for _ in schmidt_side)
-            if (enumerated_s, enumerated_t) != (s, t):
-                ok = False
-                witness = witness or (
-                    f"n={n}: enumerated s={enumerated_s} t={enumerated_t},"
-                    f" counted s={s} t={t}"
-                )
-            checked += back_checked
-            failure = failure or back_failure
-            if failure:
-                ok = False
-                witness = witness or failure
-        records.append(VerifyRecord(n, s, t, series, checked, ok))
-    ok = all(r.ok for r in records)
-    return VerifyReport(max_n, roundtrip_cutoff, ok, witness, tuple(records))
+            back_checked, s_seen, back = _round_trips(
+                n, iter_schmidt(n), _schmidt_trip, format_partition
+            )
+            if (s_seen, t_seen) != (s, t):
+                failure = failure or f"n={n}: enumerated s={s_seen} t={t_seen}, counted s={s} t={t}"
+            failure = failure or forth or back
+        records.append(VerifyRecord(n, s, t, series, forth_checked + back_checked, failure is None))
+        witness = witness or failure
+    return VerifyReport(max_n, roundtrip_cutoff, witness is None, witness, tuple(records))
 
 
 def _stats(tc: TwoColorPartition) -> tuple[int, int, int, int]:

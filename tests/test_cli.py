@@ -647,7 +647,86 @@ def test_a_full_device_is_one_error_line(argv):
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
-HUGE = "99999999999999999999"
+class FailingStderr:
+    # a stderr whose every write raises ``error``, keeping what it was given
+    def __init__(self, error):
+        self.error, self.writes = error, []
+
+    def write(self, text):
+        self.writes.append(text)
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+FULL = OSError(28, "No space left on device")
+CLOSED = BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv,error,code,writes",
+    [
+        # the error line is tried once; its failure leaves the usage error's code
+        (["unmap", "x"], FULL, 2, ["error: bad part 'x' in 'x'"]),
+        (["unmap", "x"], CLOSED, 2, ["error: bad part 'x' in 'x'"]),
+        # a failing summary is a failed write, and so is the error line after it
+        (
+            ["verify", "--max-n", "1", "--format", "csv"], FULL, 2,
+            [
+                "FAIL: n=1: s=2 t=3 series=2",
+                "error: cannot write output: [Errno 28] No space left on device",
+            ],
+        ),
+        # a closed pipe stops silently, as SIGPIPE would, on either stream
+        (["verify", "--max-n", "1", "--format", "csv"], CLOSED, 141, ["FAIL: n=1: s=2 t=3 series=2"]),
+    ],
+)
+def test_a_stderr_that_cannot_be_written(capsys, monkeypatch, argv, error, code, writes):
+    monkeypatch.setattr("schmidt.harness.verify_report", lambda *a, **k: BROKEN_VERIFY)
+    stderr = FailingStderr(error)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == code
+    monkeypatch.undo()
+    assert stderr.writes == writes
+    expected = "" if argv[0] == "unmap" else "\n".join(format_report(BROKEN_VERIFY, "csv")) + "\n"
+    assert capsys.readouterr() == (expected, "")
+
+
+FAILING_VERIFY = """
+import sys
+import schmidt.harness
+from schmidt.cli import main
+from schmidt.harness import VerifyRecord, VerifyReport
+
+broken = VerifyReport(1, 12, False, "n=1: s=2 t=3 series=2", (VerifyRecord(1, 2, 3, 2, 0, False),))
+schmidt.harness.verify_report = lambda *a: broken
+sys.exit(main(["verify", "--max-n", "1", "--format", "csv"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="this system has no /dev/full")
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (("-m", "schmidt", "unmap", "x"), ""),
+        (("-c", FAILING_VERIFY), "n,s,t,series,pass\n1,2,3,2,false\n"),
+    ],
+)
+def test_a_full_stderr_exits_2(argv, out):
+    # 1 would say a check failed; an uncaught error on the way out gives 1 too
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(schmidt.cli.__file__).parents[1])},
+        )
+    assert (proc.returncode, proc.stdout) == (2, out)
+
+
+HUGE ="99999999999999999999"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from schmidt.harness import (
 from schmidt.partitions import (
     RefinedQuery,
     TwoColorPartition,
+    count_two_color,
     enumerate_schmidt,
     enumerate_schmidt_refined_literal,
     enumerate_two_color_refined,
@@ -176,6 +177,94 @@ def test_verify_report_names_a_count_mismatch_before_a_trip_failure(monkeypatch,
     captured = capsys.readouterr()
     assert json.loads(captured.out)["witness"] == "n=3: s=10 t=10 series=11"
     assert captured.err == "FAIL: n=3: s=10 t=10 series=11\n"
+
+
+# The object each side's trip is made to fail at, by weight: the third or
+# fourth of its stream, so that objects are checked before it and after it.
+FAILING_TWO_COLOR = {2: TwoColorPartition((1, 1), ()), 3: TwoColorPartition((2,), (1,))}
+FAILING_SCHMIDT = {2: (2, 1), 3: (3, 1)}
+
+
+def inject_failures(monkeypatch, at):
+    # ``at`` maps each kind of failure to the weight it is injected at:
+    # "count" puts the series off by one, "length" drops the last object of
+    # iter_two_color, "two_color" and "schmidt" make one map raise inside
+    # that side's trip
+    def off_by_one(max_n):
+        table = list(two_color_coefficients(max_n))
+        table[at["count"]] += 1
+        return table
+
+    def short(n):
+        objects = iter_two_color(n)
+        return itertools.islice(objects, count_two_color(n) - 1) if n == at["length"] else objects
+
+    def raising(name, failing):
+        f = getattr(schmidt.harness, name)
+
+        def raising_at(obj):
+            if obj == failing:
+                raise ValueError("boom")
+            return f(obj)
+
+        monkeypatch.setattr(schmidt.harness, name, raising_at)
+
+    if "count" in at:
+        monkeypatch.setattr(schmidt.harness, "two_color_coefficients", off_by_one)
+    if "length" in at:
+        monkeypatch.setattr(schmidt.harness, "iter_two_color", short)
+    if "two_color" in at:
+        raising("two_color_to_schmidt", FAILING_TWO_COLOR[at["two_color"]])
+    if "schmidt" in at:
+        raising("trace_backward", FAILING_SCHMIDT[at["schmidt"]])
+
+
+@pytest.mark.parametrize(
+    "at,witness,failing_n,checked",
+    [
+        ({}, None, (), [4, 10, 20, 40]),
+        # at one weight, the count mismatch beats the length mismatch, which
+        # beats the two-color trip, which beats the Schmidt trip
+        (
+            {"count": 3, "length": 3, "two_color": 3, "schmidt": 3},
+            "n=3: s=10 t=10 series=11", (3,), [4, 10, 8, 40],
+        ),
+        (
+            {"length": 3, "two_color": 3, "schmidt": 3},
+            "n=3: enumerated s=10 t=9, counted s=10 t=10", (3,), [4, 10, 8, 40],
+        ),
+        (
+            {"count": 3, "two_color": 3},
+            "n=3: s=10 t=10 series=11", (3,), [4, 10, 14, 40],
+        ),
+        (
+            {"two_color": 3, "schmidt": 3},
+            "n=3: round trip raised ValueError: boom at 2r+1g", (3,), [4, 10, 8, 40],
+        ),
+        ({"length": 3}, "n=3: enumerated s=10 t=9, counted s=10 t=10", (3,), [4, 10, 19, 40]),
+        ({"schmidt": 3}, "n=3: round trip raised ValueError: boom at 3+1", (3,), [4, 10, 14, 40]),
+        # an earlier failing weight beats a later one, whatever either's kind
+        (
+            {"schmidt": 2, "count": 3},
+            "n=2: round trip raised ValueError: boom at 2+1", (2, 3), [4, 8, 20, 40],
+        ),
+        (
+            {"two_color": 2, "length": 3},
+            "n=2: round trip raised ValueError: boom at 1r+1r", (2, 3), [4, 8, 19, 40],
+        ),
+        ({"count": 2, "schmidt": 3}, "n=2: s=5 t=5 series=6", (2, 3), [4, 10, 14, 40]),
+    ],
+)
+def test_verify_report_keeps_the_first_failure_of_the_first_failing_weight(
+    monkeypatch, at, witness, failing_n, checked
+):
+    inject_failures(monkeypatch, at)
+    report = verify_report(4, 4)
+    assert report.witness == witness
+    assert report.ok == (report.witness is None)
+    assert [r.ok for r in report.records] == [n not in failing_n for n in range(1, 5)]
+    # each side's objects count up to and with its failed trip, or all of them
+    assert [r.round_trip_checked for r in report.records] == checked
 
 
 def test_verify_report_maps_and_traces_each_object_once(monkeypatch):
