@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from schmidt.partitions import TwoColorPartition
@@ -61,8 +63,29 @@ def test_a_part_past_the_digit_limit_is_too_long(digit_limit):
 
 def test_writing_a_part_past_the_digit_limit_is_a_value_error(digit_limit):
     assert format_partition((10**digit_limit - 1, 1)) == "9" * digit_limit + "+1"
-    with pytest.raises(ValueError, match=f"^part too long to write: more than {digit_limit} digits$"):
-        format_partition((10**digit_limit, 1))
+    assert format_two_color(TwoColorPartition((10**digit_limit - 1,), ())) == "9" * digit_limit + "r"
+    too_long = 10**digit_limit
+    cases = [(format_partition, (too_long, 1)), (format_two_color, TwoColorPartition((too_long,), ()))]
+    for write, value in cases:
+        with pytest.raises(ValueError, match=f"^part too long to write: more than {digit_limit} digits$"):
+            write(value)
+
+
+def reads(parse, text):
+    try:
+        parse(text)
+    except PartitionSyntaxError:
+        return False
+    return True
+
+
+def test_both_grammars_read_the_same_digits():
+    # whichever set of digits the grammars take, they take the same one
+    numeric = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isnumeric()]
+    disagree = [
+        c for c in numeric if reads(parse_partition, "9" + c) != reads(parse_two_color, f"9{c}g")
+    ]
+    assert disagree == []
 
 
 def test_canonical_emission_breaks_ties_red_first():
