@@ -166,32 +166,34 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
     if n == 0:
         yield ()
         return
-    yield from map(tuple, _heads({}, n, n, n if max_part is None else max_part))
+    yield from (tuple(heads) for heads, _ in _heads(n, n, n if max_part is None else max_part))
 
 
-def _heads(factors: list | dict, count: int, total: int, cap: int) -> Iterator[list[int]]:
+def _heads(count: int, total: int, cap: int) -> Iterator[tuple[list[int], list]]:
     # The partitions of total into at most count heads, each at most cap, in
-    # descending lexicographic order, as one list updated in place (total 0
-    # gives the one head 0).  Head h at index i is also written as
-    # factors[2i] = (h,) after the range from the head before it (or cap)
-    # down to h; factors is a list of 2 * count slots, or a dict, which grows
-    # with the heads.  Next the last head h_i whose rest, the sum of it and
-    # the heads after it, is at most (count - i)(h_i - 1) drops by one, and
-    # the tail is refilled greedily (Knuth, TAOCP 4A, 7.2.1.4, Algorithm P).
+    # descending lexicographic order (total 0 gives the one head 0).  Each is
+    # yielded as its heads h1, ..., hk with their factors (h1,),
+    # range(h1, h2 - 1, -1), (h2,), ..., (hk,): each even part of a Schmidt
+    # partition with these heads runs from the head before it down to the
+    # head after it.  Both lists are updated in place, so a caller copies what
+    # it keeps, and they hold O(k) items whatever total is.  Next the last
+    # head h_i whose rest, the sum of it and the heads after it, is at most
+    # (count - i)(h_i - 1) drops by one: both lists are cut back to the heads
+    # before it and refilled greedily (Knuth, TAOCP 4A, 7.2.1.4, Algorithm P).
     if total > count * cap:
         return
-    heads = []
+    heads, factors = [], []
     prev, top, rest = cap, min(cap, total), total
     while True:
-        at = 2 * len(heads)
         while rest or not heads:
             head = top if top < rest else rest
-            factors[at - 1] = range(prev, head - 1, -1)
-            factors[at] = (head,)
+            if heads:
+                factors.append(range(prev, head - 1, -1))
+            factors.append((head,))
             heads.append(head)
             rest -= head
-            at, prev = at + 2, head
-        yield heads
+            prev = head
+        yield heads, factors
         i = len(heads)
         while i:
             i -= 1
@@ -202,6 +204,7 @@ def _heads(factors: list | dict, count: int, total: int, cap: int) -> Iterator[l
         else:
             return
         del heads[i:]
+        del factors[2 * i - 1 if i else 0 :]
         prev, top = heads[-1] if i else cap, head - 1
 
 
@@ -224,13 +227,10 @@ def iter_schmidt(n: int) -> Iterator[Parts]:
     if n == 0:
         yield ()
         return
-    # (h1,), range(h1, h2 - 1, -1), (h2,), ..., (hk,): each even part runs
-    # from the head before it down to the head after it, or to 1 after hk
-    factors = [()] * (2 * n)
-    for heads in _heads(factors, n, n, n):
-        odd = factors[: 2 * len(heads) - 1]
-        yield from itertools.product(*odd)
-        yield from itertools.product(*odd, range(heads[-1], 0, -1))
+    for heads, factors in _heads(n, n, n):
+        yield from itertools.product(*factors)
+        # the even part after hk runs from hk down to 1
+        yield from itertools.product(*factors, range(heads[-1], 0, -1))
 
 
 def enumerate_schmidt(n: int) -> list[Parts]:
@@ -416,6 +416,8 @@ def _decreasing(total: int, count: int, high: int) -> list[tuple[int, ...]]:
     # Weakly decreasing count-tuples of entries in [1, high] summing to total,
     # count <= total <= count * high, descending lexicographic: 1 plus each
     # partition of total - count into at most count parts < high, zero-padded.
+    # One and two parts in closed form, since most cells have them and the
+    # walk's set-up costs more than their few tuples.
     if count == 1:
         return [(total,)]
     if count == 2:
@@ -423,7 +425,7 @@ def _decreasing(total: int, count: int, high: int) -> list[tuple[int, ...]]:
     ones = (1,) * count
     return [
         (*map(operator.add, heads, ones), *ones[len(heads) :])
-        for heads in _heads({}, count, total - count, high - 1)
+        for heads, _ in _heads(count, total - count, high - 1)
     ]
 
 
@@ -444,12 +446,8 @@ def enumerate_schmidt_refined_literal(query: RefinedQuery) -> list[tuple[int, ..
     """
     k, cap = max(query.r, query.l), query.p + query.q
     out: list[tuple[int, ...]] = []
-    factors = [()] * (2 * k)
-    for heads in _heads(factors, k, query.n, cap):
-        end = 2 * len(heads) - 1
+    for heads, factors in _heads(k, query.n, cap):
         # the even part after the last head hj runs from hj to 0, then all 0
-        factors[end] = range(heads[-1], -1, -1)
-        factors[end + 1 :] = [(0,)] * (2 * k - end - 1)
-        out += itertools.product(*factors)
+        out += itertools.product(*factors, range(heads[-1], -1, -1), *[(0,)] * (2 * (k - len(heads))))
     out.sort(reverse=True)
     return out

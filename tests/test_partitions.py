@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -618,12 +619,8 @@ def reference_decreasing(total, count, high):
 
 
 def walked_heads(count, total, cap):
-    # each head tuple of the walk, with the factors it wrote before the slot
-    # past its last head
-    factors = [()] * (2 * count)
-    return [
-        (tuple(heads), factors[: 2 * len(heads) - 1]) for heads in _heads(factors, count, total, cap)
-    ]
+    # each head tuple of the walk, with a copy of the factors it keeps beside it
+    return [(tuple(heads), list(factors)) for heads, factors in _heads(count, total, cap)]
 
 
 def referenced_heads(count, total, cap):
@@ -759,17 +756,47 @@ def test_deep_queries_need_no_recursion(query, answer):
     assert query() == answer
 
 
-def test_a_partly_read_walk_holds_only_its_heads():
-    # the first partition of 10**6 is one head, so the scratch is a few slots
+def first_object_peak(walk, n):
+    # the first object of walk(n), and the tracemalloc peak of taking it
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        first = next(partitions_of(10**6))
+        first = next(walk(n))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return first, peak
+
+
+def test_a_partly_read_walk_holds_only_its_heads():
+    # the first partition of 10**6 is one head, so the scratch is a few slots
+    first, peak = first_object_peak(partitions_of, 10**6)
     assert first == (10**6,)
     assert peak < 64 * 1024
+
+
+def test_the_first_schmidt_partition_costs_its_parts_not_its_weight():
+    # one head, so the walk holds one head and one factor
+    first, peak = first_object_peak(iter_schmidt, 10**6)
+    assert first == (10**6,)
+    assert peak < 64 * 1024
+
+
+def test_the_first_schmidt_partition_of_a_huge_weight_fits_in_one_gib():
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = "from schmidt import iter_schmidt; assert next(iter_schmidt(10**8)) == (10**8,)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_refined_is_the_ordered_filter_of_the_full_table():
