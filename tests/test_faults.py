@@ -84,8 +84,8 @@ def colors_swapped(original):
 
 
 def one_yield_skipped(index):
-    # every walk loses its item at index: an object of iter_schmidt, or a
-    # head tuple of _heads with every partition built on it
+    # every walk loses its item at index: an object of iter_schmidt or
+    # iter_two_color, or a head tuple of _heads with every partition built on it
     def fault(original):
         def walk(*args):
             for i, item in enumerate(original(*args)):
@@ -149,6 +149,15 @@ FAULTS = {
         one_yield_skipped(2),
         "n=2: enumerated s=4 t=5, counted s=5 t=5",
         "FAIL: n=2 r=1 l=1 p=1 q=1 t_refined=1 transported=0",
+    ),
+    "iter-two-color-drops-one": (
+        schmidt.partitions.iter_two_color,
+        # weight 2 walks 2r, 2g, 1r+1r, 1r+1g: the fourth is the first of
+        # both colors.  Index 1 or 2 drops a one-color object, which no
+        # refined cell counts (each needs r, l >= 1), so refined passes
+        one_yield_skipped(3),
+        "n=2: enumerated s=5 t=4, counted s=5 t=5",
+        "FAIL: n=2 r=1 l=1 p=1 q=1 t_refined=0 transported=1",
     ),
     "heads-walk-skips-one": (
         schmidt.partitions._heads,

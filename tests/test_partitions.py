@@ -682,6 +682,24 @@ def decreasing_refined(query):
     return out
 
 
+# The depth-first stack that the successor walk of `iter_two_color`
+# replaced, kept as a reference for its order.  A node extends red and
+# green by non-increasing parts of kind at most top (2s + 1 for red s, 2s
+# for green s) summing to rest; per size, green is pushed before red, so
+# the larger kind pops first.
+def reference_two_color(n):
+    stack = [((), (), n, 2 * n + 1)]
+    while stack:
+        red, green, rest, top = stack.pop()
+        if not rest:
+            yield TwoColorPartition(red, green)
+            continue
+        for size in range(1, min(top >> 1, rest) + 1):
+            stack.append((red, green + (size,), rest - size, 2 * size))
+            if 2 * size < top:
+                stack.append((red + (size,), green, rest - size, 2 * size + 1))
+
+
 # the cells of the (8, 4, 4, 4, 4) grid, then r > n cells
 REFINED_CELLS = [
     RefinedQuery(n, r, l, p, q)
@@ -699,6 +717,11 @@ def test_partitions_of_keeps_the_order_of_the_recursion(m):
 @pytest.mark.parametrize("n", range(15))
 def test_iter_schmidt_keeps_the_order_of_the_interleaved_heads(n):
     assert list(iter_schmidt(n)) == list(interleaved_schmidt(n))
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_iter_two_color_keeps_the_order_of_the_stack(n):
+    assert list(iter_two_color(n)) == list(reference_two_color(n))
 
 
 @settings(max_examples=300)
