@@ -71,8 +71,8 @@ def integer(text: str) -> int:
 # Most objects a table, verify or refined run may enumerate, and most
 # cells a refined grid or a render may hold.  table and verify stream the
 # objects they enumerate, so for them the limit bounds time, not memory:
-# the largest table allowed, --n 27 (240,840 objects), takes 10-13 s at
-# 15 MB max RSS, and verify at the largest cutoff allowed, 21, takes
+# the largest table allowed, --n 27 (240,840 objects), takes 2.4-2.5 s at
+# 16 MB max RSS, and verify at the largest cutoff allowed, 21, takes
 # 5.5-7.2 s at 15 MB.  The slowest grid, --max-n 21 --max-r 21 --max-l 1
 # --max-p 21 --max-q 26 (240,786 cells), takes 2.6-2.7 s as text and
 # 6.3-7.1 s as JSON at 53 MB; the largest, 250,000 cells, 6 s as JSON at

@@ -296,6 +296,12 @@ def refined_report(
     and the witness names the first partition it raised at, in
     `iter_schmidt`'s heads-major order; that partition is left out of the
     map's tally.
+
+    The grid is blind to two faults, which only `verify_report`'s round
+    trips catch.  An inverse map that swaps the colors of every preimage
+    keeps every transported count, since t_refined(r, l, p, q) =
+    t_refined(l, r, q, p).  And a one-color object enters no cell, since
+    every cell has r, l >= 1.
     """
     if min(max_n, max_r, max_l, max_p, max_q) < 1:
         raise ValueError("all grid bounds must be positive")

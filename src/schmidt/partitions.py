@@ -318,27 +318,40 @@ def iter_two_color(n: int) -> Iterator[TwoColorPartition]:
     red preceding green on equal sizes.  Number each colored part by its
     kind, 2s + 1 for a red part s and 2s for a green part s: a merged list
     in that order is a list of kinds in non-increasing order, and canonical
-    order compares those lists by their kinds, larger first.  One
-    depth-first walk picks each next kind from the largest allowed down,
-    so it visits the lists in that order; two lists of equal weight are
-    never prefixes of one another, so the order of its leaves is the
-    canonical order and no sort is needed.
+    order is descending lexicographic order of those lists.  The walk steps
+    from each list to the next, as Algorithm P does for partitions (Knuth,
+    TAOCP 4A, 7.2.1.4).  A kind above 2 can always drop by one, since any
+    weight it leaves fills with kinds 2 and 3 (green and red 1s), and kind
+    2 cannot.  So the last kind above 2 is the rightmost position with a
+    smaller continuation: the next list keeps what precedes it, drops it
+    by one, and refills greedily with the largest kind the order and the
+    weight allow, which gives the largest completion.  No sort is needed,
+    and the walk holds only the parts of its current object.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # A node extends red and green by non-increasing positive parts of kind at
-    # most top summing to rest, so a leaf needs no check.  Per size, green's
-    # kind 2s is pushed before red's 2s + 1, so the largest kind pops first.
-    stack = [((), (), n, 2 * n + 1)]
-    while stack:
-        red, green, rest, top = stack.pop()
-        if not rest:
-            yield _unchecked(TwoColorPartition, red, green)
-            continue
-        for size in range(1, min(top >> 1, rest) + 1):
-            stack.append((red, green + (size,), rest - size, 2 * size))
-            if 2 * size < top:
-                stack.append((red + (size,), green, rest - size, 2 * size + 1))
+    # red and green hold one non-increasing list of kinds, so its last kind
+    # is the smaller of 2 * red[-1] + 1 and 2 * green[-1]
+    red, green = [], []
+    rest, top = n, 2 * n + 1
+    while True:
+        while rest:  # refill with kind min(top, 2 * rest + 1)
+            if top > 2 * rest:
+                top = 2 * rest + 1
+            (red if top & 1 else green).append(top >> 1)
+            rest -= top >> 1
+        yield _unchecked(TwoColorPartition, tuple(red), tuple(green))
+        while green and green[-1] == 1:  # kind 2 cannot drop
+            green.pop()
+            rest += 1
+        if red and (not green or red[-1] < green[-1]):
+            top = 2 * red.pop() + 1
+        elif green:
+            top = 2 * green.pop()
+        else:
+            return
+        rest += top >> 1
+        top -= 1
 
 
 def enumerate_two_color(n: int) -> list[TwoColorPartition]:

@@ -378,7 +378,8 @@ def test_enumerate_two_color_sorts_nothing():
 
 
 def test_iter_two_color_holds_one_object_at_a_time():
-    # the walk keeps only its pending nodes; the list of weight 16 peaks at 1.05 MB
+    # the walk keeps only the parts of its current object; the list of
+    # weight 16 peaks at 1.13 MB
     gc.collect()
     tracemalloc.start()
     try:
@@ -798,20 +799,34 @@ def test_a_partly_read_walk_holds_only_its_heads():
     assert peak < 64 * 1024
 
 
-def test_the_first_schmidt_partition_costs_its_parts_not_its_weight():
-    # one head, so the walk holds one head and one factor
-    first, peak = first_object_peak(iter_schmidt, 10**6)
-    assert first == (10**6,)
+# Each lazy walk, and the expression its first object of weight n equals:
+# one part, so the Schmidt walk holds one head and one factor, and the
+# two-color walk one red part
+FIRST_OBJECTS = {
+    "iter_schmidt": "(n,)",
+    "iter_two_color": "TwoColorPartition((n,), ())",
+}
+
+
+@pytest.mark.parametrize("walk", FIRST_OBJECTS)
+def test_the_first_object_costs_its_parts_not_its_weight(walk):
+    n = 10**6
+    first, peak = first_object_peak(globals()[walk], n)
+    assert first == eval(FIRST_OBJECTS[walk])
     assert peak < 64 * 1024
 
 
-def test_the_first_schmidt_partition_of_a_huge_weight_fits_in_one_gib():
+@pytest.mark.parametrize("walk", FIRST_OBJECTS)
+def test_the_first_object_of_a_huge_weight_fits_in_one_gib(walk):
     resource = pytest.importorskip("resource")
 
     def limit_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    code = "from schmidt import iter_schmidt; assert next(iter_schmidt(10**8)) == (10**8,)"
+    code = (
+        f"from schmidt import {walk}, TwoColorPartition; n = 10**8; "
+        f"assert next({walk}(n)) == {FIRST_OBJECTS[walk]}"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
